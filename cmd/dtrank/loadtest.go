@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -229,7 +230,7 @@ func runLoadtest(args []string) error {
 	reports := fs.String("reports", "", "comma-separated spec ids mixed in as GET /v1/reports/{spec} requests (empty = rankings only)")
 	warmup := fs.Bool("warmup", true, "issue one unmeasured request per query shape first (pays cold fits outside the histogram)")
 	sloP99 := fs.Duration("slo-p99", 0, "fail when overall p99 exceeds this (0 = no gate)")
-	minCacheHits := fs.Int64("min-cache-hits", 0, "fail unless the daemon reports at least this many rankcache_hits after the run")
+	minCacheHits := fs.Int64("min-cache-hits", 0, "fail unless the daemon's /metrics reports at least this many dtrank_rankcache_hits_total after the run")
 	traceSlow := fs.Bool("trace", false, "report the slowest requests' X-Dtrank-Trace IDs on stderr, joinable against the daemon's logs")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -324,28 +325,34 @@ func runLoadtest(args []string) error {
 	if *minCacheHits > 0 {
 		hits, err := fetchCacheHits(client, base)
 		if err != nil {
-			return fmt.Errorf("reading /debug/vars: %w", err)
+			return fmt.Errorf("reading /metrics: %w", err)
 		}
 		if hits < *minCacheHits {
-			return fmt.Errorf("rankcache_hits = %d, want at least %d", hits, *minCacheHits)
+			return fmt.Errorf("%s = %d, want at least %d", rankCacheHits, hits, *minCacheHits)
 		}
-		fmt.Fprintf(os.Stderr, "loadtest: cache ok: %d rankcache_hits\n", hits)
+		fmt.Fprintf(os.Stderr, "loadtest: cache ok: %d %s\n", hits, rankCacheHits)
 	}
 	return nil
 }
 
-// fetchCacheHits reads the daemon's rankcache_hits counter.
+// rankCacheHits is the /metrics series -min-cache-hits gates on.
+const rankCacheHits = "dtrank_rankcache_hits_total"
+
+// fetchCacheHits reads the daemon's rank-cache hit counter from /metrics.
 func fetchCacheHits(client *http.Client, base string) (int64, error) {
-	resp, err := client.Get(base + "/debug/vars")
+	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	var vars struct {
-		RankcacheHits int64 `json:"rankcache_hits"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return 0, err
 	}
-	return vars.RankcacheHits, nil
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, rankCacheHits+" "); ok {
+			return strconv.ParseInt(v, 10, 64)
+		}
+	}
+	return 0, fmt.Errorf("no %s series", rankCacheHits)
 }

@@ -7,7 +7,6 @@
 //
 //	dtrankd [-addr :8117] [-seed N] [-data file.csv] [-workers N]
 //	        [-max-models N] [-rank-cache N] [-report-cache N]
-//	        [-batch-window D] [-batch-max N]
 //	        [-registry dir] [-save] [-cache dir]
 //	        [-coordinate all|id,..] [-lease-ttl 30s] [-fast] [-draws D] [-maxk K]
 //	        [-debug-addr addr] [-log-format text|json] [-log-level info]
@@ -17,15 +16,15 @@
 // same deterministic fits, not a different code path. The serving fast
 // path layers on top without changing a byte: -rank-cache bounds an LRU
 // of rendered response bodies (hits skip fit, predict and encode, and
-// /v1/rank answers If-None-Match revalidation with 304), and
-// -batch-window/-batch-max collect concurrent MLP^T cache misses for the
-// same model into one shared ensemble walk.
+// /v1/rank answers If-None-Match revalidation with 304), and concurrent
+// cache misses against one model — whatever their top clamps — share a
+// single fit and prediction.
 //
 // Endpoints: POST /v1/rank, GET /v1/methods, GET /v1/machines,
 // GET /v1/reports (catalogue), GET /v1/reports/{spec} (rendered report),
 // POST /v1/snapshot (hot-swap the database from a CSV body), GET /v1/status
-// (JSON health snapshot), GET /metrics (Prometheus text exposition),
-// GET /healthz, GET /debug/vars.
+// (JSON health snapshot and counters), GET /metrics (Prometheus text
+// exposition), GET /healthz.
 //
 // GET /v1/reports/{spec} serves the paper's tables, figures and ablations
 // rendered against the served snapshot, byte-identical to `dtrank run
@@ -44,7 +43,7 @@
 // X-Dtrank-Trace header) that appears in the response header and in every
 // structured log line the request produces; -log-format selects text or
 // json lines on stderr and -log-level sets the floor (debug shows
-// per-request cache, fit and flush detail). -debug-addr starts a second,
+// per-request cache, fit and render detail). -debug-addr starts a second,
 // operator-only listener exposing /debug/pprof/ and a /metrics mirror —
 // off by default so profiling is never reachable through the service port.
 //
@@ -90,6 +89,12 @@ import (
 	"repro/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a client that never finishes them cannot hold a connection
+// forever. There is deliberately no write timeout: cold report renders
+// take seconds.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -111,8 +116,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	maxModels := fs.Int("max-models", serve.DefaultMaxModels, "registry LRU bound")
 	rankCache := fs.Int("rank-cache", serve.DefaultRankCacheSize, "rendered-response cache bound in entries (-1 disables the cache and ETag/304 revalidation)")
 	reportCache := fs.Int("report-cache", serve.DefaultReportCacheSize, "rendered-report cache bound in entries for /v1/reports/ (-1 disables the cache and ETag/304 revalidation)")
-	batchWindow := fs.Duration("batch-window", serve.DefaultBatchWindow, "micro-batching window for concurrent MLP^T cache misses (-1ns disables batching)")
-	batchMax := fs.Int("batch-max", serve.DefaultBatchMax, "flush a forming micro-batch early at this many queries")
 	registryDir := fs.String("registry", "", "warm-start the model registry from this directory")
 	save := fs.Bool("save", false, "save the registry back to -registry on shutdown")
 	cacheDir := fs.String("cache", "", "serve the experiment result store under /v1/store/ from this directory (the merge point of 'dtrank run -shard -cache http://this-daemon')")
@@ -195,8 +198,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		ReportFast:  *fast,
 		ReportDraws: *draws,
 		ReportMaxK:  *maxk,
-		BatchWindow: *batchWindow,
-		BatchMax:    *batchMax,
 		Logger:      logger,
 	})
 	if err != nil {
@@ -233,7 +234,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	logger.Info("serving", "addr", ln.Addr().String())
@@ -254,7 +255,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dmux.Handle("/metrics", srv.Obs().Handler())
-		debugSrv = &http.Server{Handler: dmux}
+		debugSrv = &http.Server{Handler: dmux, ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := debugSrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Warn("debug listener failed", "err", err)

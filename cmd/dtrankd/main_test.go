@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -107,7 +109,7 @@ func TestDaemonSavesAndWarmStartsRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	vars, err := http.Get(base + "/debug/vars")
+	status, err := http.Get(base + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +119,10 @@ func TestDaemonSavesAndWarmStartsRegistry(t *testing.T) {
 			Models int `json:"models"`
 		} `json:"registry"`
 	}
-	if err := json.NewDecoder(vars.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(status.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	vars.Body.Close()
+	status.Body.Close()
 	if stats.Registry.Fits != 0 || stats.Registry.Models < 1 {
 		t.Fatalf("warm start refit: %+v", stats.Registry)
 	}
@@ -202,8 +204,8 @@ func TestDaemonCoordinatesWorkers(t *testing.T) {
 		t.Fatalf("status %+v", status)
 	}
 
-	// The coordinator's counters surface in /debug/vars under "work".
-	resp, err := http.Get(base + "/debug/vars")
+	// The coordinator's counters surface in /v1/status under "work".
+	resp, err := http.Get(base + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +220,30 @@ func TestDaemonCoordinatesWorkers(t *testing.T) {
 	}
 	resp.Body.Close()
 	if vars.Work.Done != len(plan.Units) || vars.Work.Total != len(plan.Units) {
-		t.Fatalf("/debug/vars work counters %+v", vars.Work)
+		t.Fatalf("/v1/status work counters %+v", vars.Work)
+	}
+}
+
+// TestDaemonDropsSlowHeaderClients sends half a request line and then
+// nothing: the daemon must close the connection once readHeaderTimeout
+// passes instead of holding it open forever.
+func TestDaemonDropsSlowHeaderClients(t *testing.T) {
+	t.Parallel()
+	base, shutdown := startDaemon(t)
+	defer shutdown()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /heal")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %s after a half-sent request line", time.Since(start).Round(time.Second))
 	}
 }

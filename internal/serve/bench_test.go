@@ -107,8 +107,8 @@ func BenchmarkServeRank(b *testing.B) {
 			post(b, ts.Client(), ts.URL+"/v1/rank")
 		}
 		b.StopTimer()
-		if srv.cache.hits.Load() < int64(b.N) {
-			b.Fatalf("only %d cache hits in %d requests", srv.cache.hits.Load(), b.N)
+		if srv.cache.hits.Value() < int64(b.N) {
+			b.Fatalf("only %d cache hits in %d requests", srv.cache.hits.Value(), b.N)
 		}
 	})
 
@@ -137,21 +137,17 @@ func BenchmarkServeRank(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if srv.cache.hits.Load() < int64(b.N) {
-			b.Fatalf("only %d cache hits in %d requests", srv.cache.hits.Load(), b.N)
+		if srv.cache.hits.Value() < int64(b.N) {
+			b.Fatalf("only %d cache hits in %d requests", srv.cache.hits.Value(), b.N)
 		}
 	})
 
-	b.Run("batched-8clients", func(b *testing.B) {
+	b.Run("coalesced-8clients", func(b *testing.B) {
 		// MLP^T misses under concurrency: the response cache is disabled so
-		// every request reaches the batcher, and the 8 clients use 8
-		// distinct top clamps so the coalescing layer cannot fold them —
-		// each window flushes one shared ensemble walk for up to 8 queries.
-		srv, err := NewServer(data.Matrix, data.Characteristics, Options{
-			Seed:      1,
-			RankCache: -1,
-			BatchMax:  8,
-		})
+		// every request reaches the registry, and the 8 clients use 8
+		// distinct top clamps — overlapping requests still share one
+		// ensemble walk, since the coalescing key ignores top.
+		srv, err := NewServer(data.Matrix, data.Characteristics, Options{Seed: 1, RankCache: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,10 +184,6 @@ func BenchmarkServeRank(b *testing.B) {
 				postTop(b, client, top)
 			}
 		})
-		b.StopTimer()
-		if f := srv.batch.flushes.Load(); f == 0 {
-			b.Fatal("no batch flushes")
-		}
 	})
 }
 
@@ -240,7 +232,7 @@ func BenchmarkServeReports(b *testing.B) {
 	b.Run("render", func(b *testing.B) {
 		// Response-cache miss over a fully warm store: every iteration
 		// re-plans, re-reads and re-renders, computing nothing.
-		before := srv.reportUnitsComputed.Load()
+		before := srv.reportUnitsComputed.Value()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			srv.reports.purge()
@@ -249,7 +241,7 @@ func BenchmarkServeReports(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if n := srv.reportUnitsComputed.Load() - before; n != 0 {
+		if n := srv.reportUnitsComputed.Value() - before; n != 0 {
 			b.Fatalf("render benchmark computed %d units, want 0 (warm store)", n)
 		}
 	})
@@ -258,7 +250,7 @@ func BenchmarkServeReports(b *testing.B) {
 		if rec := get(nil); rec.Code != http.StatusOK {
 			b.Fatal("prime failed")
 		}
-		before := srv.reports.hits.Load()
+		before := srv.reports.hits.Value()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if rec := get(nil); rec.Code != http.StatusOK {
@@ -266,7 +258,7 @@ func BenchmarkServeReports(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if hits := srv.reports.hits.Load() - before; hits < int64(b.N) {
+		if hits := srv.reports.hits.Value() - before; hits < int64(b.N) {
 			b.Fatalf("only %d cache hits in %d requests", hits, b.N)
 		}
 	})

@@ -317,13 +317,12 @@ func TestGoldenStatusBodyKeys(t *testing.T) {
 	}
 	wantKeys(t, rec.Body.Bytes(),
 		"uptime_seconds", "snapshot", "models", "endpoints", "fits",
-		"registry", "rankcache", "batch", "reports", "engine", "store", "work")
+		"registry", "rankcache", "reports", "engine", "store", "work")
 
 	var status struct {
 		Endpoints map[string]json.RawMessage `json:"endpoints"`
 		Fits      map[string]json.RawMessage `json:"fits"`
 		Rankcache json.RawMessage            `json:"rankcache"`
-		Batch     json.RawMessage            `json:"batch"`
 		Reports   json.RawMessage            `json:"reports"`
 		Engine    json.RawMessage            `json:"engine"`
 	}
@@ -346,7 +345,6 @@ func TestGoldenStatusBodyKeys(t *testing.T) {
 		t.Fatalf("/v1/rank row not populated: %s", row)
 	}
 	wantKeys(t, status.Rankcache, "enabled", "entries", "hits", "misses", "evictions", "not_modified")
-	wantKeys(t, status.Batch, "enabled", "flushes", "batched_queries")
 	wantKeys(t, status.Reports, "cache_enabled", "entries", "hits", "misses", "evictions",
 		"not_modified", "renders", "errors", "coalesced", "units_computed", "units_hit")
 	wantKeys(t, status.Engine, "inflight", "units_done")

@@ -34,7 +34,6 @@ var endpointRoutes = []string{
 	"/v1/work/",
 	"/healthz",
 	"/metrics",
-	"/debug/vars",
 }
 
 // codeClasses are the status families counted per route.
@@ -110,58 +109,37 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 	})
 }
 
-// registerMetrics installs the bridges from the server's existing
-// subsystem counters into the obs registry. Bridged series read the
-// subsystem's own atomics at render time, so nothing is counted twice and
-// /debug/vars stays the authoritative compatibility view.
+// registerMetrics creates the server's own instruments — the request,
+// rank, swap and report counters and the per-route, per-method and
+// per-spec histograms; the caches, the registry and the coalescers
+// register theirs on construction — and bridges the subsystems that keep
+// their own state: entry counts, the store handler, the coordinator, the
+// engine and uptime.
 func (s *Server) registerMetrics(reg *obs.Registry) {
 	s.epm = newEndpointMetrics(reg)
 	s.fitHist = map[string]*obs.Histogram{}
 	for _, info := range method.List() {
 		s.fitHist[info.Name] = reg.Histogram("dtrank_fit_seconds", obs.L("method", info.Name))
 	}
-	s.flushHist = reg.Histogram("dtrank_batch_flush_seconds")
 	s.reportHist = map[string]*obs.Histogram{}
 	for _, id := range experiments.SpecIDs() {
 		s.reportHist[id] = reg.Histogram("dtrank_report_render_seconds", obs.L("spec", id))
 	}
 
-	reg.CounterFunc("dtrank_requests_total", func() float64 { return float64(s.requests.Load()) })
-	reg.CounterFunc("dtrank_rank_ok_total", func() float64 { return float64(s.rankOK.Load()) })
-	reg.CounterFunc("dtrank_rank_errors_total", func() float64 { return float64(s.rankErrors.Load()) })
-	reg.CounterFunc("dtrank_coalesced_total", func() float64 { return float64(s.coalesced.Load()) })
-	reg.CounterFunc("dtrank_snapshot_swaps_total", func() float64 { return float64(s.swaps.Load()) })
+	s.requests = reg.Counter("dtrank_requests_total")
+	s.rankOK = reg.Counter("dtrank_rank_ok_total")
+	s.rankErrors = reg.Counter("dtrank_rank_errors_total")
+	s.swaps = reg.Counter("dtrank_snapshot_swaps_total")
+	s.rankNotModified = reg.Counter("dtrank_rankcache_not_modified_total")
+	s.reportNotModified = reg.Counter("dtrank_reportcache_not_modified_total")
+	s.reportRenders = reg.Counter("dtrank_report_renders_total")
+	s.reportErrors = reg.Counter("dtrank_report_errors_total")
+	s.reportUnitsComputed = reg.Counter("dtrank_report_units_computed_total")
+	s.reportUnitsHit = reg.Counter("dtrank_report_units_hit_total")
 
 	reg.GaugeFunc("dtrank_registry_models", func() float64 { return float64(s.reg.Len()) })
-	reg.CounterFunc("dtrank_registry_hits_total", func() float64 { return float64(s.reg.Stats().Hits) })
-	reg.CounterFunc("dtrank_registry_misses_total", func() float64 { return float64(s.reg.Stats().Misses) })
-	reg.CounterFunc("dtrank_registry_fits_total", func() float64 { return float64(s.reg.Stats().Fits) })
-	reg.CounterFunc("dtrank_registry_fit_errors_total", func() float64 { return float64(s.reg.Stats().FitErrors) })
-	reg.CounterFunc("dtrank_registry_evictions_total", func() float64 { return float64(s.reg.Stats().Evictions) })
-
-	if s.cache != nil {
-		reg.GaugeFunc("dtrank_rankcache_entries", func() float64 { return float64(s.cache.len()) })
-		reg.CounterFunc("dtrank_rankcache_hits_total", func() float64 { return float64(s.cache.hits.Load()) })
-		reg.CounterFunc("dtrank_rankcache_misses_total", func() float64 { return float64(s.cache.misses.Load()) })
-		reg.CounterFunc("dtrank_rankcache_evictions_total", func() float64 { return float64(s.cache.evictions.Load()) })
-		reg.CounterFunc("dtrank_rankcache_not_modified_total", func() float64 { return float64(s.cache.notModified.Load()) })
-	}
-	if s.batch != nil {
-		reg.CounterFunc("dtrank_batch_flushes_total", func() float64 { return float64(s.batch.flushes.Load()) })
-		reg.CounterFunc("dtrank_batched_queries_total", func() float64 { return float64(s.batch.batched.Load()) })
-	}
-	reg.CounterFunc("dtrank_report_renders_total", func() float64 { return float64(s.reportRenders.Load()) })
-	reg.CounterFunc("dtrank_report_errors_total", func() float64 { return float64(s.reportErrors.Load()) })
-	reg.CounterFunc("dtrank_report_coalesced_total", func() float64 { return float64(s.reportCoalesced.Load()) })
-	reg.CounterFunc("dtrank_report_units_computed_total", func() float64 { return float64(s.reportUnitsComputed.Load()) })
-	reg.CounterFunc("dtrank_report_units_hit_total", func() float64 { return float64(s.reportUnitsHit.Load()) })
-	if s.reports != nil {
-		reg.GaugeFunc("dtrank_reportcache_entries", func() float64 { return float64(s.reports.len()) })
-		reg.CounterFunc("dtrank_reportcache_hits_total", func() float64 { return float64(s.reports.hits.Load()) })
-		reg.CounterFunc("dtrank_reportcache_misses_total", func() float64 { return float64(s.reports.misses.Load()) })
-		reg.CounterFunc("dtrank_reportcache_evictions_total", func() float64 { return float64(s.reports.evictions.Load()) })
-		reg.CounterFunc("dtrank_reportcache_not_modified_total", func() float64 { return float64(s.reports.notModified.Load()) })
-	}
+	reg.GaugeFunc("dtrank_rankcache_entries", func() float64 { return float64(s.cache.len()) })
+	reg.GaugeFunc("dtrank_reportcache_entries", func() float64 { return float64(s.reports.len()) })
 	if s.store != nil {
 		for _, op := range []string{"gets", "get_misses", "puts", "rejected"} {
 			op := op
@@ -251,6 +229,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			P99Ns:  h.Quantile(0.99),
 		}
 	}
+	reports := cacheStatus(s.reports, s.reportNotModified)
+	reports["cache_enabled"] = reports["enabled"]
+	delete(reports, "enabled")
+	reports["renders"] = s.reportRenders.Value()
+	reports["errors"] = s.reportErrors.Value()
+	reports["coalesced"] = s.renders.coalesced.Value()
+	reports["units_computed"] = s.reportUnitsComputed.Value()
+	reports["units_hit"] = s.reportUnitsHit.Value()
 	status := map[string]any{
 		"uptime_seconds": int64(time.Since(s.start).Seconds()),
 		"snapshot":       s.snap.Load().hash,
@@ -258,32 +244,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"endpoints":      endpoints,
 		"fits":           fits,
 		"registry":       s.reg.Stats(),
-		"rankcache": map[string]any{
-			"enabled":      s.cache != nil,
-			"entries":      cacheLen(s.cache),
-			"hits":         cacheCtr(s.cache, func(c *rankCache) int64 { return c.hits.Load() }),
-			"misses":       cacheCtr(s.cache, func(c *rankCache) int64 { return c.misses.Load() }),
-			"evictions":    cacheCtr(s.cache, func(c *rankCache) int64 { return c.evictions.Load() }),
-			"not_modified": cacheCtr(s.cache, func(c *rankCache) int64 { return c.notModified.Load() }),
-		},
-		"batch": map[string]any{
-			"enabled":         s.batch != nil,
-			"flushes":         batchCtr(s.batch, func(b *batcher) int64 { return b.flushes.Load() }),
-			"batched_queries": batchCtr(s.batch, func(b *batcher) int64 { return b.batched.Load() }),
-		},
-		"reports": map[string]any{
-			"cache_enabled":  s.reports != nil,
-			"entries":        rcacheLen(s.reports),
-			"hits":           rcacheCtr(s.reports, func(c *reportCache) int64 { return c.hits.Load() }),
-			"misses":         rcacheCtr(s.reports, func(c *reportCache) int64 { return c.misses.Load() }),
-			"evictions":      rcacheCtr(s.reports, func(c *reportCache) int64 { return c.evictions.Load() }),
-			"not_modified":   rcacheCtr(s.reports, func(c *reportCache) int64 { return c.notModified.Load() }),
-			"renders":        s.reportRenders.Load(),
-			"errors":         s.reportErrors.Load(),
-			"coalesced":      s.reportCoalesced.Load(),
-			"units_computed": s.reportUnitsComputed.Load(),
-			"units_hit":      s.reportUnitsHit.Load(),
-		},
+		"rankcache":      cacheStatus(s.cache, s.rankNotModified),
+		"reports":        reports,
 		"engine": map[string]any{
 			"inflight":   engine.Default().Stats().InFlight,
 			"units_done": engine.Default().Stats().UnitsDone,
@@ -298,37 +260,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, status)
 }
 
-func cacheLen(c *rankCache) int {
-	if c == nil {
-		return 0
+// cacheStatus is a response cache's /v1/status object, read from the
+// cache's own counters.
+func cacheStatus[K comparable](c *lru[K, []byte], notModified *obs.Counter) map[string]any {
+	return map[string]any{
+		"enabled":      c.enabled(),
+		"entries":      c.len(),
+		"hits":         c.hits.Value(),
+		"misses":       c.misses.Value(),
+		"evictions":    c.evictions.Value(),
+		"not_modified": notModified.Value(),
 	}
-	return c.len()
-}
-
-func cacheCtr(c *rankCache, read func(*rankCache) int64) int64 {
-	if c == nil {
-		return 0
-	}
-	return read(c)
-}
-
-func batchCtr(b *batcher, read func(*batcher) int64) int64 {
-	if b == nil {
-		return 0
-	}
-	return read(b)
-}
-
-func rcacheLen(c *reportCache) int {
-	if c == nil {
-		return 0
-	}
-	return c.len()
-}
-
-func rcacheCtr(c *reportCache, read func(*reportCache) int64) int64 {
-	if c == nil {
-		return 0
-	}
-	return read(c)
 }

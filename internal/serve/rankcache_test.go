@@ -52,7 +52,7 @@ func TestRankCacheCanonicalisesQueryShape(t *testing.T) {
 	if st := srv.Registry().Stats(); st.Fits != 1 {
 		t.Fatalf("one canonical query shape fitted %d models", st.Fits)
 	}
-	if hits, misses := srv.cache.hits.Load(), srv.cache.misses.Load(); hits != 1 || misses != 1 {
+	if hits, misses := srv.cache.hits.Value(), srv.cache.misses.Value(); hits != 1 || misses != 1 {
 		t.Fatalf("cache hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	// A genuinely different query (another top clamp) must NOT share the
@@ -119,7 +119,7 @@ func TestRankETagRevalidation(t *testing.T) {
 	if rev.Code != http.StatusNotModified || rev.Body.Len() != 0 {
 		t.Fatalf("post-purge revalidation got HTTP %d with %d bytes, want bodyless 304", rev.Code, rev.Body.Len())
 	}
-	if nm := srv.cache.notModified.Load(); nm != 3 {
+	if nm := srv.rankNotModified.Value(); nm != 3 {
 		t.Fatalf("rankcache_not_modified = %d, want 3", nm)
 	}
 }
@@ -180,7 +180,7 @@ func TestRankCacheBounded(t *testing.T) {
 	if n := srv.cache.len(); n != 3 {
 		t.Fatalf("cache holds %d entries, bound is 3", n)
 	}
-	if ev := srv.cache.evictions.Load(); ev != 2 {
+	if ev := srv.cache.evictions.Value(); ev != 2 {
 		t.Fatalf("evictions = %d, want 2", ev)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,9 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/transpose"
 )
 
@@ -41,16 +40,17 @@ func (k Key) fileStem() string {
 	return hex.EncodeToString(h.Sum(nil))[:24]
 }
 
-// entry is one registry slot. The ready channel implements singleflight:
-// the goroutine that creates the entry fits the model and closes ready;
-// everyone else blocks on it. queryMu serialises queries against the
-// model, which is not required to be concurrency-safe.
+// entry is one registry slot, stored in the registry's LRU from the
+// moment its fit starts, so Save, Len, EvictSnapshotsExcept and the hit
+// counter all see in-flight fits. The ready channel implements
+// singleflight: the goroutine that creates the entry fits the model and
+// closes ready; everyone else blocks on it. queryMu serialises queries
+// against the model, which is not required to be concurrency-safe.
 type entry struct {
 	key     Key
 	ready   chan struct{}
 	model   transpose.Model
 	err     error
-	elem    *list.Element
 	queryMu sync.Mutex
 }
 
@@ -69,42 +69,36 @@ type RegistryStats struct {
 // for it or for their context, whichever ends first. Failed fits are never
 // cached, so a transient error does not poison a key.
 type Registry struct {
-	max int
-
-	mu    sync.Mutex
-	ll    *list.List // MRU at the front
-	byKey map[Key]*entry
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	fits      atomic.Int64
-	fitErrors atomic.Int64
-	evictions atomic.Int64
+	models          *lru[Key, *entry]
+	fits, fitErrors *obs.Counter
 }
 
 // NewRegistry returns a registry bounded to max models (max <= 0 means
 // DefaultMaxModels).
-func NewRegistry(max int) *Registry {
+func NewRegistry(max int) *Registry { return newRegistry(max, obs.NewRegistry()) }
+
+// newRegistry returns a registry whose counters are the dtrank_registry_*
+// series of reg.
+func newRegistry(max int, reg *obs.Registry) *Registry {
 	if max <= 0 {
 		max = DefaultMaxModels
 	}
-	return &Registry{max: max, ll: list.New(), byKey: map[Key]*entry{}}
+	return &Registry{
+		models:    newLRU[Key, *entry](max, reg, "dtrank_registry"),
+		fits:      reg.Counter("dtrank_registry_fits_total"),
+		fitErrors: reg.Counter("dtrank_registry_fit_errors_total"),
+	}
 }
 
 // Len returns the number of cached entries (including in-flight fits).
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.byKey)
-}
+func (r *Registry) Len() int { return r.models.len() }
 
 // Keys returns the cached keys, most recently used first.
 func (r *Registry) Keys() []Key {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Key, 0, r.ll.Len())
-	for e := r.ll.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*entry).key)
+	entries := r.models.values()
+	out := make([]Key, len(entries))
+	for i, e := range entries {
+		out[i] = e.key
 	}
 	return out
 }
@@ -113,45 +107,11 @@ func (r *Registry) Keys() []Key {
 func (r *Registry) Stats() RegistryStats {
 	return RegistryStats{
 		Models:    r.Len(),
-		Hits:      r.hits.Load(),
-		Misses:    r.misses.Load(),
-		Fits:      r.fits.Load(),
-		FitErrors: r.fitErrors.Load(),
-		Evictions: r.evictions.Load(),
-	}
-}
-
-// acquire returns the entry for key, creating it when absent. The boolean
-// reports whether the caller created it and therefore owns the fit.
-func (r *Registry) acquire(key Key) (*entry, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.byKey[key]; ok {
-		r.ll.MoveToFront(e.elem)
-		r.hits.Add(1)
-		return e, false
-	}
-	e := &entry{key: key, ready: make(chan struct{})}
-	e.elem = r.ll.PushFront(e)
-	r.byKey[key] = e
-	r.misses.Add(1)
-	r.evictLocked()
-	return e, true
-}
-
-// evictLocked drops least-recently-used entries beyond the bound. An
-// in-flight entry may be evicted from the cache; its waiters hold the
-// entry pointer and still receive the fit result — it just is not cached.
-func (r *Registry) evictLocked() {
-	for len(r.byKey) > r.max {
-		back := r.ll.Back()
-		if back == nil {
-			return
-		}
-		victim := back.Value.(*entry)
-		r.ll.Remove(back)
-		delete(r.byKey, victim.key)
-		r.evictions.Add(1)
+		Hits:      r.models.hits.Value(),
+		Misses:    r.models.misses.Value(),
+		Fits:      r.fits.Value(),
+		FitErrors: r.fitErrors.Value(),
+		Evictions: r.models.evictions.Value(),
 	}
 }
 
@@ -163,31 +123,15 @@ func (r *Registry) evictLocked() {
 // hold the entry pointer and still receive the result, it just is not
 // cached.
 func (r *Registry) EvictSnapshotsExcept(keep string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for e := r.ll.Front(); e != nil; {
-		next := e.Next()
-		ent := e.Value.(*entry)
-		if ent.key.Snapshot != keep {
-			r.ll.Remove(e)
-			delete(r.byKey, ent.key)
-			r.evictions.Add(1)
-			n++
-		}
-		e = next
-	}
+	n := r.models.removeFunc(func(k Key, _ *entry) bool { return k.Snapshot != keep })
+	r.models.evictions.Add(int64(n))
 	return n
 }
 
-// remove forgets an entry (used for failed fits, which must not be cached).
-func (r *Registry) remove(e *entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cur, ok := r.byKey[e.key]; ok && cur == e {
-		r.ll.Remove(e.elem)
-		delete(r.byKey, e.key)
-	}
+// forget uncaches e (a failed fit) unless the slot already holds another
+// entry.
+func (r *Registry) forget(e *entry) {
+	r.models.removeFunc(func(_ Key, v *entry) bool { return v == e })
 }
 
 // resolve returns the ready entry for key, running the singleflight fit
@@ -195,19 +139,19 @@ func (r *Registry) remove(e *entry) {
 // else waits for it or for their context, whichever ends first. Failed
 // fits are uncached before waiters are released.
 func (r *Registry) resolve(ctx context.Context, key Key, fit func() (transpose.Model, error)) (*entry, error) {
-	e, owner := r.acquire(key)
-	if owner {
+	e, found := r.models.lookup(key, func() *entry { return &entry{key: key, ready: make(chan struct{})} })
+	if !found {
 		if err := ctx.Err(); err != nil {
 			e.err = err
-			r.remove(e)
+			r.forget(e)
 			close(e.ready)
 			return nil, err
 		}
-		r.fits.Add(1)
+		r.fits.Inc()
 		e.model, e.err = fit()
 		if e.err != nil {
-			r.fitErrors.Add(1)
-			r.remove(e)
+			r.fitErrors.Inc()
+			r.forget(e)
 		}
 		close(e.ready)
 		return e, e.err
@@ -234,8 +178,7 @@ func (r *Registry) Model(ctx context.Context, key Key, fit func() (transpose.Mod
 
 // Query runs query against the fitted model for key while holding the
 // entry's query lock: models are not required to be safe for concurrent
-// use, so queries against one model serialise here — the batching point
-// the coalescing layer in Server drains through.
+// use, so queries against one model serialise here.
 func (r *Registry) Query(ctx context.Context, key Key, fit func() (transpose.Model, error), query func(transpose.Model) error) error {
 	e, err := r.resolve(ctx, key, fit)
 	if err != nil {
@@ -247,22 +190,15 @@ func (r *Registry) Query(ctx context.Context, key Key, fit func() (transpose.Mod
 }
 
 // Add inserts an already-fitted model (e.g. one decoded from disk) as a
-// ready entry, evicting under the LRU bound as usual.
+// ready entry, replacing any entry under key and evicting under the LRU
+// bound as usual.
 func (r *Registry) Add(key Key, m transpose.Model) {
 	if m == nil {
 		return
 	}
 	e := &entry{key: key, ready: make(chan struct{}), model: m}
 	close(e.ready)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.byKey[key]; ok {
-		r.ll.Remove(old.elem)
-		delete(r.byKey, key)
-	}
-	e.elem = r.ll.PushFront(e)
-	r.byKey[key] = e
-	r.evictLocked()
+	r.models.put(key, e)
 }
 
 // indexEntry is one line of a registry directory's index.json.
@@ -276,13 +212,7 @@ type indexEntry struct {
 // index is written last and atomically (temp file + rename), so a crashed
 // save never leaves an index referencing half-written models.
 func (r *Registry) Save(dir string) (int, error) {
-	r.mu.Lock()
-	entries := make([]*entry, 0, r.ll.Len())
-	for e := r.ll.Front(); e != nil; e = e.Next() {
-		entries = append(entries, e.Value.(*entry))
-	}
-	r.mu.Unlock()
-
+	entries := r.models.values()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}

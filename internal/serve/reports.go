@@ -29,10 +29,11 @@ import (
 //
 // Each representation carries a strong ETag computable from (snapshot
 // hash, spec, budget, representation) alone, so If-None-Match
-// revalidation answers 304 without planning, executing or rendering
-// anything. Concurrent cold requests for one (snapshot, spec, budget)
-// coalesce into a single plan/execute/render whose result every waiter
-// shares.
+// revalidation answers 304 through the same writeTagged path as /v1/rank
+// without planning, executing or rendering anything. Rendered bodies live
+// in the server's report LRU, and concurrent cold requests for one
+// (snapshot, spec, budget) join one render flight whose bodies every
+// waiter shares.
 
 // Report representations. The representation folds into the cache key
 // and the entity tag: the text and JSON bodies of one report are
@@ -47,7 +48,7 @@ const (
 
 // ReportResponse is the body of GET /v1/reports/{spec} with Accept:
 // application/json. Every field is deterministic in (snapshot, spec,
-// budget, seed) — per-render counters live in /debug/vars and /metrics,
+// budget, seed) — per-render counters live in /metrics and /v1/status,
 // not here — so the body can be cached and revalidated like the text one.
 type ReportResponse struct {
 	// Spec and Title identify the rendered spec.
@@ -69,21 +70,9 @@ type ReportResponse struct {
 	Text string `json:"text"`
 }
 
-// reportCall is one in-flight coalesced report render. Followers wait on
-// done and read both rendered representations from the call.
-type reportCall struct {
-	done chan struct{}
-	text []byte
-	json []byte
-	err  error
-}
-
-// reportCallKey identifies a coalescable render: representation is
-// excluded on purpose — one render produces both bodies.
-type reportCallKey struct {
-	snapshot string
-	spec     string
-	budget   string
+// rendered holds both representations of one report render.
+type rendered struct {
+	text, json []byte
 }
 
 // reportBudget is the budget component of every report unit key and
@@ -153,104 +142,56 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	repr, ctype := negotiateReport(r)
 	snap := s.snap.Load()
-	budget := s.reportBudget()
-
-	if s.reports != nil {
-		etag := etagFor(snap.hash, reportShape(id, budget, repr))
-		// O(1) revalidation before any cache or pipeline work: the tag is
-		// a pure function of (snapshot, spec, budget, representation) and
-		// renders are deterministic, so a matching client already holds
-		// the exact bytes — even when this server never rendered them.
-		if inmMatches(r.Header.Get("If-None-Match"), etag) {
-			s.reports.notModified.Add(1)
-			w.Header().Set("Vary", "Accept")
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		key := reportKey{snapshot: snap.hash, spec: id, budget: budget, repr: repr}
+	key := reportKey{snapshot: snap.hash, spec: id, budget: s.reportBudget(), repr: repr}
+	etag := ""
+	if s.reports.enabled() {
+		etag = etagFor(snap.hash, reportShape(key.spec, key.budget, repr))
+	}
+	w.Header().Set("Vary", "Accept")
+	// The tag is a pure function of the key and renders are deterministic,
+	// so a matching client already holds the exact bytes — even when this
+	// server never rendered them — and revalidation answers before any
+	// cache or pipeline work.
+	err := writeTagged(w, r, etag, s.reportNotModified, ctype, func() ([]byte, error) {
 		body, hit := s.reports.get(key)
 		if s.logging && s.logger.Enabled(r.Context(), slog.LevelDebug) {
 			s.logger.Debug("reportcache", "trace", obs.TraceID(r.Context()), "hit", hit, "spec", id, "repr", repr)
 		}
 		if hit {
-			s.writeReport(w, etag, ctype, body)
-			return
+			return body, nil
 		}
-	}
-
-	text, jsonBody, err := s.renderReport(r.Context(), snap, id, budget)
+		out, err := s.renderReport(r.Context(), snap, key)
+		if repr == reportReprJSON {
+			return out.json, err
+		}
+		return out.text, err
+	})
 	if err != nil {
-		s.reportErrors.Add(1)
+		s.reportErrors.Inc()
 		s.writeError(w, err)
-		return
 	}
-	body := text
-	if repr == reportReprJSON {
-		body = jsonBody
-	}
-	etag := ""
-	if s.reports != nil {
-		etag = etagFor(snap.hash, reportShape(id, budget, repr))
-	}
-	s.writeReport(w, etag, ctype, body)
-}
-
-// writeReport writes a rendered report body with its entity tag. The
-// If-None-Match answer happened before any rendering; this is the plain
-// write path.
-func (s *Server) writeReport(w http.ResponseWriter, etag, ctype string, body []byte) {
-	w.Header().Set("Vary", "Accept")
-	if etag != "" {
-		w.Header().Set("ETag", etag)
-	}
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
 }
 
 // renderReport produces both representations of one report through the
-// per-(snapshot, spec, budget) singleflight: the first caller plans,
-// executes missing units and renders; concurrent callers wait and share
-// the leader's bodies. Successful renders are stored in the report cache
-// under both representations before the call completes.
-func (s *Server) renderReport(ctx context.Context, snap *snapshot, id, budget string) (text, jsonBody []byte, err error) {
-	ck := reportCallKey{snapshot: snap.hash, spec: id, budget: budget}
-	s.rmu.Lock()
-	c, attached := s.rcalls[ck]
-	if !attached {
-		c = &reportCall{done: make(chan struct{})}
-		s.rcalls[ck] = c
-	}
-	s.rmu.Unlock()
-	if attached {
-		s.reportCoalesced.Add(1)
-		select {
-		case <-c.done:
-			return c.text, c.json, c.err
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		case <-s.baseCtx.Done():
-			return nil, nil, s.baseCtx.Err()
+// per-(snapshot, spec, budget) render flight: the leader plans, executes
+// missing units and renders; concurrent callers wait and share its
+// bodies. Successful renders are stored in the report cache under both
+// representations before the flight completes.
+func (s *Server) renderReport(ctx context.Context, snap *snapshot, key reportKey) (rendered, error) {
+	key.repr = ""
+	return s.renders.do(ctx, key, func() (rendered, error) {
+		t0 := time.Now()
+		rep, err := experiments.RunReport(s.reportConfig(snap), key.spec)
+		if err != nil {
+			return rendered{}, err
 		}
-	}
-
-	// Leader path: render under the server's lifetime, not the request's —
-	// a disconnecting leader must not waste the whole flight's work.
-	t0 := time.Now()
-	rep, rerr := experiments.RunReport(s.reportConfig(snap), id)
-	d := time.Since(t0)
-	if rerr != nil {
-		c.err = rerr
-	} else {
-		s.reportRenders.Add(1)
+		d := time.Since(t0)
+		s.reportRenders.Inc()
 		s.reportUnitsComputed.Add(rep.Computed)
 		s.reportUnitsHit.Add(rep.Hits)
-		if h := s.reportHist[id]; h != nil {
-			h.Observe(d)
-		}
-		s.logger.Debug("report render", "trace", obs.TraceID(ctx), "spec", id,
+		s.reportHist[key.spec].Observe(d)
+		s.logger.Debug("report render", "trace", obs.TraceID(ctx), "spec", key.spec,
 			"units", rep.Units, "computed", rep.Computed, "hits", rep.Hits, "dur", d)
-		c.text = []byte(rep.Text)
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(&ReportResponse{
 			Spec:     rep.Spec,
@@ -262,20 +203,15 @@ func (s *Server) renderReport(ctx context.Context, snap *snapshot, id, budget st
 			Units:    rep.Units,
 			Text:     rep.Text,
 		}); err != nil {
-			c.err = err
-		} else {
-			c.json = buf.Bytes()
-			if s.reports != nil {
-				s.reports.put(reportKey{snapshot: snap.hash, spec: id, budget: budget, repr: reportReprText}, c.text)
-				s.reports.put(reportKey{snapshot: snap.hash, spec: id, budget: budget, repr: reportReprJSON}, c.json)
-			}
+			return rendered{}, err
 		}
-	}
-	s.rmu.Lock()
-	delete(s.rcalls, ck)
-	s.rmu.Unlock()
-	close(c.done)
-	return c.text, c.json, c.err
+		out := rendered{text: []byte(rep.Text), json: buf.Bytes()}
+		key.repr = reportReprText
+		s.reports.put(key, out.text)
+		key.repr = reportReprJSON
+		s.reports.put(key, out.json)
+		return out, nil
+	})
 }
 
 // validSpecID reports whether id names a runnable spec.

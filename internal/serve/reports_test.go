@@ -295,7 +295,7 @@ func TestReportETagRevalidation(t *testing.T) {
 	if rev.Header().Get("ETag") != etag {
 		t.Fatalf("304 ETag %q, want %q", rev.Header().Get("ETag"), etag)
 	}
-	if nm := srv.reports.notModified.Load(); nm != 1 {
+	if nm := srv.reportNotModified.Value(); nm != 1 {
 		t.Fatalf("reportcache_not_modified = %d, want 1", nm)
 	}
 	// A list with other candidates still matches; a stale tag re-serves.
@@ -316,7 +316,7 @@ func TestReportETagRevalidation(t *testing.T) {
 	if rev.Code != http.StatusNotModified || rev.Body.Len() != 0 {
 		t.Fatalf("cold-server revalidation got HTTP %d with %d bytes, want bodyless 304", rev.Code, rev.Body.Len())
 	}
-	if n := cold.reportRenders.Load(); n != 0 {
+	if n := cold.reportRenders.Value(); n != 0 {
 		t.Fatalf("cold-server revalidation triggered %d renders, want 0", n)
 	}
 }
@@ -337,7 +337,7 @@ func TestReportCacheDisabled(t *testing.T) {
 	if again.Code != http.StatusOK || again.Body.Len() == 0 {
 		t.Fatalf("HTTP %d with %d bytes, want full 200", again.Code, again.Body.Len())
 	}
-	if n := srv.reportRenders.Load(); n != 2 {
+	if n := srv.reportRenders.Value(); n != 2 {
 		t.Fatalf("%d renders, want 2 (no cache to hit)", n)
 	}
 }
@@ -355,10 +355,10 @@ func TestReportRenderCached(t *testing.T) {
 	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
 		t.Fatal("warm body differs from cold body")
 	}
-	if n := srv.reportRenders.Load(); n != 1 {
+	if n := srv.reportRenders.Value(); n != 1 {
 		t.Fatalf("%d renders for two requests, want 1", n)
 	}
-	if hits := srv.reports.hits.Load(); hits != 1 {
+	if hits := srv.reports.hits.Value(); hits != 1 {
 		t.Fatalf("reportcache_hits = %d, want 1", hits)
 	}
 	// One render materialises BOTH representations, so the JSON request
@@ -367,7 +367,7 @@ func TestReportRenderCached(t *testing.T) {
 	if asJSON.Code != http.StatusOK {
 		t.Fatalf("HTTP %d", asJSON.Code)
 	}
-	if n := srv.reportRenders.Load(); n != 1 {
+	if n := srv.reportRenders.Value(); n != 1 {
 		t.Fatalf("JSON representation triggered render %d, want cache hit", n)
 	}
 }
@@ -401,7 +401,7 @@ func TestReportSingleflight(t *testing.T) {
 			t.Fatalf("request %d body differs", i)
 		}
 	}
-	if renders := srv.reportRenders.Load(); renders != 1 {
+	if renders := srv.reportRenders.Value(); renders != 1 {
 		t.Fatalf("%d concurrent cold requests rendered %d times, want 1", n, renders)
 	}
 }
@@ -465,13 +465,13 @@ func TestReportWarmStoreComputesNothing(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("HTTP %d", rec.Code)
 	}
-	if computed := fresh.reportUnitsComputed.Load(); computed != 0 {
+	if computed := fresh.reportUnitsComputed.Value(); computed != 0 {
 		t.Fatalf("fresh server recomputed %d units against a warm store, want 0", computed)
 	}
-	if hits := fresh.reportUnitsHit.Load(); hits <= 0 {
+	if hits := fresh.reportUnitsHit.Value(); hits <= 0 {
 		t.Fatalf("fresh server read %d units from the store, want > 0", hits)
 	}
-	if renders := fresh.reportRenders.Load(); renders != 1 {
+	if renders := fresh.reportRenders.Value(); renders != 1 {
 		t.Fatalf("%d renders, want 1", renders)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -141,7 +142,7 @@ func TestServerWarmQueriesDoNotRefit(t *testing.T) {
 	if st := srv.Registry().Stats(); st.Fits != 1 {
 		t.Fatalf("two identical queries fitted %d times", st.Fits)
 	}
-	if hits := srv.cache.hits.Load(); hits != 1 {
+	if hits := srv.cache.hits.Value(); hits != 1 {
 		t.Fatalf("second query made %d response-cache hits, want 1", hits)
 	}
 
@@ -423,50 +424,85 @@ func TestServerInfoEndpoints(t *testing.T) {
 	}
 
 	postRank(t, h, RankRequest{Family: "Alpha", App: "benchA", Method: "nnt"})
-	code, body = get("/debug/vars")
+	if metricValue(t, h, "dtrank_rank_ok_total") < 1 || metricValue(t, h, "dtrank_requests_total") < 1 {
+		t.Fatal("rank and request counters did not move")
+	}
+	code, body = get("/v1/status")
 	if code != http.StatusOK {
-		t.Fatalf("vars: %d", code)
+		t.Fatalf("status: %d", code)
 	}
-	if body["rank_ok"].(float64) < 1 || body["requests"].(float64) < 1 {
-		t.Fatalf("vars body: %v", body)
-	}
-	if _, ok := body["registry"].(map[string]any); !ok {
-		t.Fatalf("vars body missing registry stats: %v", body)
+	if reg, ok := body["registry"].(map[string]any); !ok || reg["fits"].(float64) != 1 {
+		t.Fatalf("status body lacks registry stats with one fit: %v", body)
 	}
 }
 
+// metricValue reads one unlabelled series from GET /metrics.
+func metricValue(t *testing.T, h http.Handler, name string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics lacks %s", name)
+	return 0
+}
+
 func TestServerFollowerSurvivesCancelledLeader(t *testing.T) {
-	// A leader whose client disconnects must not fail followers attached
-	// to its coalesced call: they retry and one of them leads.
-	srv, err := NewServer(testWorld(t), nil, Options{Seed: 1})
+	// A leader whose client disconnects mid-flight must not fail the
+	// followers that joined its flight: the flight's work runs under the
+	// server's lifetime, not the leader's request.
+	m := testWorld(t)
+	srv, err := NewServer(m, nil, Options{Seed: 1, RankCache: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	req := RankRequest{Family: "Alpha", App: "benchE", Method: "nnt"}
+	g := installGated(t, srv, m, "benchE")
+	h := srv.Handler()
+	reqs := mlptTops("benchE", 4)
+	want := soloRanks(t, m, reqs)
 
-	// Install a call whose leader is "cancelled": simulate by inserting a
-	// finished call carrying context.Canceled, which a follower must not
-	// adopt as its own result.
-	ck := callKey{key: Key{Snapshot: srv.SnapshotHash(), Family: "Alpha", App: "benchE", Method: "NN^T", Seed: 1}}
-	c := &rankCall{done: make(chan struct{}), err: context.Canceled}
-	srv.cmu.Lock()
-	srv.calls[ck] = c
-	srv.cmu.Unlock()
-	go func() {
-		// Release the dead leader's call after the follower attaches, the
-		// way a disconnecting client would.
-		srv.cmu.Lock()
-		delete(srv.calls, ck)
-		srv.cmu.Unlock()
-		close(c.done)
-	}()
-	resp, err := srv.Rank(context.Background(), req)
+	ctx, cancel := context.WithCancel(context.Background())
+	body, err := json.Marshal(reqs[0])
 	if err != nil {
-		t.Fatalf("follower inherited the leader's cancellation: %v", err)
+		t.Fatal(err)
 	}
-	if len(resp.Ranking) == 0 {
-		t.Fatal("empty ranking")
+	leader := httptest.NewRequest(http.MethodPost, "/v1/rank", bytes.NewReader(body)).WithContext(ctx)
+	leaderDone := make(chan struct{})
+	go func() {
+		h.ServeHTTP(httptest.NewRecorder(), leader)
+		close(leaderDone)
+	}()
+	<-g.entered
+
+	followers := make([]*httptest.ResponseRecorder, len(reqs)-1)
+	var wg sync.WaitGroup
+	for i := range followers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			followers[i] = postRank(t, h, reqs[i+1])
+		}(i)
+	}
+	waitCoalesced(srv, int64(len(followers)))
+	cancel() // the leader's client goes away mid-flight
+	close(g.release)
+	wg.Wait()
+	<-leaderDone
+	for i, rec := range followers {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("follower %d inherited the leader's cancellation: HTTP %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want[i+1]) {
+			t.Fatalf("follower %d got a different ranking", i)
+		}
 	}
 }
 

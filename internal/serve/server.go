@@ -49,15 +49,6 @@ type Options struct {
 	// hot-swap. 0 means DefaultRankCacheSize; negative disables the
 	// cache (every request computes).
 	RankCache int
-	// BatchWindow is the micro-batching collection window for MLP^T
-	// cache misses (dtrankd's -batch-window flag): concurrent queries
-	// against one model collected within the window share a single
-	// ensemble walk. 0 means DefaultBatchWindow; negative disables
-	// batching.
-	BatchWindow time.Duration
-	// BatchMax flushes a forming batch early once this many queries
-	// joined (0 means DefaultBatchMax).
-	BatchMax int
 	// ReportCache bounds the rendered-report cache in entries (dtrankd's
 	// -report-cache flag): a bounded LRU of fully rendered
 	// /v1/reports/{spec} bodies — one entry per (snapshot, spec, budget,
@@ -74,15 +65,15 @@ type Options struct {
 	ReportFast  bool
 	ReportDraws int
 	ReportMaxK  int
-	// Obs is the metrics registry every handler, cache, batcher, fit and
-	// store instrument registers into, rendered on GET /metrics and
+	// Obs is the metrics registry every handler, cache, coalescer, fit
+	// and store instrument registers into, rendered on GET /metrics and
 	// snapshotted by GET /v1/status (dtrankd shares one registry across
 	// subsystems). nil means a private registry — the endpoints still
 	// work, they just expose only this server's series.
 	Obs *obs.Registry
 	// Logger receives one structured access line per request, each
 	// carrying the request's trace ID, plus debug lines from the cache,
-	// batcher and fit sites. nil logs nothing, which keeps tests and
+	// fit and render sites. nil logs nothing, which keeps tests and
 	// benchmarks quiet and unmeasured.
 	Logger *slog.Logger
 }
@@ -103,23 +94,21 @@ type freshScorer interface {
 	PredictTargetsWith(appOnPred, dst []float64) error
 }
 
-// rankCall is one in-flight coalesced ranking computation. Concurrent
-// requests for the same (model key, scores) attach to the leader's call
-// and share its single PredictTargets result instead of queueing their
-// own model queries.
-type rankCall struct {
-	done chan struct{}
-	resp *RankResponse
-	err  error
-}
-
-// callKey identifies a coalescable computation: the model key plus, for
+// callKey identifies a coalescable prediction: the model key plus, for
 // the fresh-scores path, the exact measurement bytes (not a hash — two
-// different score vectors must never share a call).
+// different score vectors must never share a call). Top is not part of
+// it: queries differing only in their clamp share one PredictTargets and
+// each caller clamps its own response.
 type callKey struct {
 	key    Key
 	scores string
-	top    int
+}
+
+// prediction is the shared, read-only result of one coalesced ranking
+// computation: the predicted target scores and, on the app-named path,
+// the held-out benchmark's measured ones.
+type prediction struct {
+	predicted, measured []float64
 }
 
 // Server is the ranking service: a snapshot of the performance database,
@@ -129,9 +118,10 @@ type Server struct {
 	opts    Options
 	reg     *Registry
 	snap    atomic.Pointer[snapshot]
-	cache   *rankCache   // nil when Options.RankCache < 0
-	batch   *batcher     // nil when Options.BatchWindow < 0
-	reports *reportCache // nil when Options.ReportCache < 0
+	cache   *lru[shapeKey, []byte]  // disabled when Options.RankCache < 0
+	reports *lru[reportKey, []byte] // disabled when Options.ReportCache < 0
+	ranks   *flight[callKey, prediction]
+	renders *flight[reportKey, rendered]
 	rstore  resultstore.Store
 	store   *resultstore.HTTPHandler
 	work    *coord.HTTPHandler
@@ -142,34 +132,23 @@ type Server struct {
 	logging    bool // false when no Options.Logger: skip per-request log plumbing
 	epm        map[string]*endpointMetrics
 	fitHist    map[string]*obs.Histogram
-	flushHist  *obs.Histogram
 	reportHist map[string]*obs.Histogram
+
+	// The server's own counters, registered once in registerMetrics and
+	// read by both /metrics and /v1/status.
+	requests, rankOK, rankErrors, swaps *obs.Counter
+	rankNotModified, reportNotModified  *obs.Counter
+	reportRenders, reportErrors         *obs.Counter
+	reportUnitsComputed, reportUnitsHit *obs.Counter
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
-
-	cmu   sync.Mutex
-	calls map[callKey]*rankCall
-
-	rmu    sync.Mutex
-	rcalls map[reportCallKey]*reportCall
 
 	// swapMu serialises snapshot hot-swaps: the snapshot store, registry
 	// eviction and both response-cache purges of one swap form a single
 	// critical section, so two racing swaps can never interleave into a
 	// state where a cache still holds bodies of an evicted snapshot.
 	swapMu sync.Mutex
-
-	requests            atomic.Int64
-	rankOK              atomic.Int64
-	rankErrors          atomic.Int64
-	coalesced           atomic.Int64
-	swaps               atomic.Int64
-	reportRenders       atomic.Int64
-	reportErrors        atomic.Int64
-	reportCoalesced     atomic.Int64
-	reportUnitsComputed atomic.Int64
-	reportUnitsHit      atomic.Int64
 }
 
 // NewServer builds a Server over the given performance matrix and optional
@@ -188,24 +167,17 @@ func NewServer(m *dataset.Matrix, chars map[string][]float64, opts Options) (*Se
 	}
 	s := &Server{
 		opts:    opts,
-		reg:     NewRegistry(opts.MaxModels),
+		reg:     newRegistry(opts.MaxModels, reg),
+		cache:   newLRU[shapeKey, []byte](orDefault(opts.RankCache, DefaultRankCacheSize), reg, "dtrank_rankcache"),
+		reports: newLRU[reportKey, []byte](orDefault(opts.ReportCache, DefaultReportCacheSize), reg, "dtrank_reportcache"),
+		ranks:   newFlight[callKey, prediction](ctx, reg.Counter("dtrank_coalesced_total")),
+		renders: newFlight[reportKey, rendered](ctx, reg.Counter("dtrank_report_coalesced_total")),
 		start:   time.Now(),
 		baseCtx: ctx,
 		cancel:  cancel,
-		calls:   map[callKey]*rankCall{},
-		rcalls:  map[reportCallKey]*reportCall{},
 		obs:     reg,
 		logger:  obs.OrNop(opts.Logger),
 		logging: opts.Logger != nil,
-	}
-	if opts.RankCache >= 0 {
-		s.cache = newRankCache(opts.RankCache)
-	}
-	if opts.BatchWindow >= 0 {
-		s.batch = newBatcher(opts.BatchWindow, opts.BatchMax)
-	}
-	if opts.ReportCache >= 0 {
-		s.reports = newReportCache(opts.ReportCache)
 	}
 	if opts.StoreDir != "" {
 		h, err := resultstore.NewHTTPHandler(opts.StoreDir)
@@ -238,6 +210,15 @@ func NewServer(m *dataset.Matrix, chars map[string][]float64, opts Options) (*Se
 	return s, nil
 }
 
+// orDefault maps a zero cache bound to its default; negative bounds stay
+// negative, which disables the cache.
+func orDefault(n, def int) int {
+	if n == 0 {
+		return def
+	}
+	return n
+}
+
 // Registry exposes the server's model registry (for warm start and save).
 func (s *Server) Registry() *Registry { return s.reg }
 
@@ -249,9 +230,10 @@ func (s *Server) Obs() *obs.Registry { return s.obs }
 // SnapshotHash returns the hash of the currently served snapshot.
 func (s *Server) SnapshotHash() string { return s.snap.Load().hash }
 
-// Close cancels the server's base context: fits waiting in the registry
-// and pending coalesced queries unblock with a cancellation error. It does
-// not stop an http.Server wrapping Handler() — shut that down first.
+// Close cancels the server's base context: requests waiting on a
+// coalesced ranking, report or model fit unblock with a cancellation
+// error, and fits not yet started never start. It does not stop an
+// http.Server wrapping Handler() — shut that down first.
 func (s *Server) Close() { s.cancel() }
 
 // SwapSnapshot atomically replaces the served dataset. Queries already
@@ -277,13 +259,9 @@ func (s *Server) SwapSnapshot(m *dataset.Matrix, chars map[string][]float64) (st
 	defer s.swapMu.Unlock()
 	s.snap.Store(next)
 	s.reg.EvictSnapshotsExcept(next.hash)
-	if s.cache != nil {
-		s.cache.purge()
-	}
-	if s.reports != nil {
-		s.reports.purge()
-	}
-	s.swaps.Add(1)
+	s.cache.purge()
+	s.reports.purge()
+	s.swaps.Inc()
 	return next.hash, nil
 }
 
@@ -398,7 +376,7 @@ func (s *Server) Rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 	}
 
 	key := Key{Snapshot: snap.hash, Family: req.Family, App: req.App, Method: canon, Seed: s.opts.Seed}
-	ck := callKey{key: key, top: req.Top}
+	ck := callKey{key: key}
 	if len(req.Scores) > 0 {
 		if !SupportsFreshScores(canon) {
 			return nil, badRequest("method %s cannot rank from raw scores (its fit depends on the application); supply app instead", canon)
@@ -415,59 +393,24 @@ func (s *Server) Rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		}
 		ck.scores = string(b)
 	}
-
-	// Coalesce: concurrent identical queries share one fit + one model
-	// query. The leader computes, everyone else waits on its call. If the
-	// leader's own client disconnected before the work started, its
-	// cancellation error is not the followers' — they retry the loop and
-	// one of them becomes the next leader.
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.baseCtx.Err(); err != nil {
-			return nil, err
-		}
-		s.cmu.Lock()
-		c, attached := s.calls[ck]
-		if !attached {
-			c = &rankCall{done: make(chan struct{})}
-			s.calls[ck] = c
-		}
-		s.cmu.Unlock()
-		if attached {
-			s.coalesced.Add(1)
-			select {
-			case <-c.done:
-				if c.err != nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-					continue // the leader was cancelled, not us
-				}
-				return c.resp, c.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-s.baseCtx.Done():
-				return nil, s.baseCtx.Err()
-			}
-		}
-
-		// Leader path. Merge the request context with the server's
-		// lifetime so both a disconnecting client and a shutting-down
-		// server stop the wait.
-		leaderCtx, cancelMerged := context.WithCancel(ctx)
-		stop := context.AfterFunc(s.baseCtx, cancelMerged)
-		c.resp, c.err = s.rankLeader(leaderCtx, snap, key, canon, targets, predictive, req)
-		stop()
-		cancelMerged()
-		s.cmu.Lock()
-		delete(s.calls, ck)
-		s.cmu.Unlock()
-		close(c.done)
-		return c.resp, c.err
+	// A request whose client already left starts no work.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	// Coalesce: concurrent queries for one model and one score vector —
+	// whatever their top clamps — share one fit and one PredictTargets.
+	p, err := s.ranks.do(ctx, ck, func() (prediction, error) {
+		return s.predict(ctx, snap, key, canon, targets, predictive, req)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return BuildRankResponse(req.Family, req.App, canon, snap.hash, targets.Machines, p.predicted, p.measured, req.Top)
 }
 
-// rankLeader performs the actual fit-and-predict for one coalesced call.
-func (s *Server) rankLeader(ctx context.Context, snap *snapshot, key Key, canon string, targets, predictive *dataset.Matrix, req RankRequest) (*RankResponse, error) {
+// predict performs the fit-and-predict of one coalesced ranking flight
+// under the server's lifetime; ctx only labels its log lines.
+func (s *Server) predict(ctx context.Context, snap *snapshot, key Key, canon string, targets, predictive *dataset.Matrix, req RankRequest) (prediction, error) {
 	var (
 		appOnTgt []float64
 		fold     transpose.Fold
@@ -476,12 +419,12 @@ func (s *Server) rankLeader(ctx context.Context, snap *snapshot, key Key, canon 
 		var err error
 		fold, appOnTgt, err = transpose.NewFold(predictive, targets, req.App, snap.chars)
 		if err != nil {
-			return nil, &httpError{code: http.StatusBadRequest, err: err}
+			return prediction{}, &httpError{code: http.StatusBadRequest, err: err}
 		}
 	} else {
 		const freshApp = "application-of-interest"
 		if _, err := predictive.BenchmarkIndex(freshApp); err == nil {
-			return nil, badRequest("snapshot contains a benchmark named %q; rank it via app instead", freshApp)
+			return prediction{}, badRequest("snapshot contains a benchmark named %q; rank it via app instead", freshApp)
 		}
 		fold = transpose.Fold{
 			AppName:   freshApp,
@@ -490,7 +433,7 @@ func (s *Server) rankLeader(ctx context.Context, snap *snapshot, key Key, canon 
 			Tgt:       targets,
 		}
 		if err := fold.Validate(); err != nil {
-			return nil, badRequest("invalid fold: %v", err)
+			return prediction{}, badRequest("invalid fold: %v", err)
 		}
 	}
 
@@ -506,57 +449,28 @@ func (s *Server) rankLeader(ctx context.Context, snap *snapshot, key Key, canon 
 		t0 := time.Now()
 		m, err := ft.Fit(fold)
 		d := time.Since(t0)
-		if h := s.fitHist[canon]; h != nil {
-			h.Observe(d)
-		}
+		s.fitHist[canon].Observe(d)
 		s.logger.Debug("model fit", "trace", obs.TraceID(ctx), "method", canon, "app", fold.AppName, "dur", d, "ok", err == nil)
 		return m, err
 	}
-	query := func(ctx context.Context, predicted []float64) error {
-		return s.reg.Query(ctx, key, fit, func(m transpose.Model) error {
-			if m.NumTargets() != len(predicted) {
-				return fmt.Errorf("serve: model predicts %d targets, snapshot family has %d machines", m.NumTargets(), len(predicted))
-			}
-			if len(req.Scores) > 0 {
-				fs, ok := m.(freshScorer)
-				if !ok {
-					return fmt.Errorf("serve: %s model cannot predict from raw scores", canon)
-				}
-				return fs.PredictTargetsWith(req.Scores, predicted)
-			}
-			return m.PredictTargets(predicted)
-		})
-	}
-	var predicted []float64
-	if s.batch != nil && canon == method.MLPT && len(req.Scores) == 0 {
-		// The expensive ensemble walk amortises: concurrent queries against
-		// this model key (same app, e.g. different top clamps) collected
-		// within the batch window share one PredictTargets. The flush runs
-		// under the server's lifetime so one disconnecting member cannot
-		// cancel the batch for the rest; the shared vector is read-only
-		// from here on (BuildRankResponse copies what it keeps).
-		var err error
-		predicted, err = s.batch.predictTargets(ctx, s.baseCtx, key, func() ([]float64, error) {
-			t0 := time.Now()
-			dst := make([]float64, targets.NumMachines())
-			if err := query(s.baseCtx, dst); err != nil {
-				return nil, err
-			}
-			d := time.Since(t0)
-			s.flushHist.Observe(d)
-			s.logger.Debug("batch flush", "trace", obs.TraceID(ctx), "method", canon, "app", fold.AppName, "dur", d)
-			return dst, nil
-		})
-		if err != nil {
-			return nil, err
+	predicted := make([]float64, targets.NumMachines())
+	err := s.reg.Query(s.baseCtx, key, fit, func(m transpose.Model) error {
+		if m.NumTargets() != len(predicted) {
+			return fmt.Errorf("serve: model predicts %d targets, snapshot family has %d machines", m.NumTargets(), len(predicted))
 		}
-	} else {
-		predicted = make([]float64, targets.NumMachines())
-		if err := query(ctx, predicted); err != nil {
-			return nil, err
+		if len(req.Scores) > 0 {
+			fs, ok := m.(freshScorer)
+			if !ok {
+				return fmt.Errorf("serve: %s model cannot predict from raw scores", canon)
+			}
+			return fs.PredictTargetsWith(req.Scores, predicted)
 		}
+		return m.PredictTargets(predicted)
+	})
+	if err != nil {
+		return prediction{}, err
 	}
-	return BuildRankResponse(req.Family, req.App, canon, snap.hash, targets.Machines, predicted, appOnTgt, req.Top)
+	return prediction{predicted: predicted, measured: appOnTgt}, nil
 }
 
 // Handler returns the server's HTTP API:
@@ -572,7 +486,6 @@ func (s *Server) rankLeader(ctx context.Context, snap *snapshot, key Key, canon 
 //	GET  /v1/status          JSON observability snapshot (per-endpoint p50/p95/p99)
 //	GET  /healthz            liveness plus snapshot hash and model count
 //	GET  /metrics            Prometheus text exposition of the obs registry
-//	GET  /debug/vars         service counters (pre-obs compatibility view)
 //
 // Every route runs under the observability middleware: the response
 // carries an X-Dtrank-Trace header (adopted from a valid inbound header,
@@ -603,7 +516,6 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/status", "/v1/status", http.HandlerFunc(s.handleStatus))
 	handle("GET /healthz", "/healthz", http.HandlerFunc(s.handleHealthz))
 	handle("GET /metrics", "/metrics", s.obs.Handler())
-	handle("GET /debug/vars", "/debug/vars", http.HandlerFunc(s.handleVars))
 	if s.store != nil {
 		handle("/v1/store/", "/v1/store/", s.store)
 	}
@@ -611,7 +523,7 @@ func (s *Server) Handler() http.Handler {
 		handle("/v1/work/", "/v1/work/", s.work)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
+		s.requests.Inc()
 		mux.ServeHTTP(w, r)
 	})
 }
@@ -639,7 +551,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req RankRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.rankErrors.Add(1)
+		s.rankErrors.Inc()
 		s.writeError(w, badRequest("decoding request: %v", err))
 		return
 	}
@@ -648,59 +560,49 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	// shape — under the served snapshot's hash. A hit skips fit, predict
 	// and JSON encoding. Requests whose method does not resolve skip the
 	// lookup and fail in Rank with the full error message.
-	var shape string
-	if s.cache != nil {
+	var (
+		shape, snapHash string
+		body            []byte
+		hit             bool
+	)
+	if s.cache.enabled() {
 		if canon, err := CanonicalMethod(req.Method); err == nil {
 			shape = queryShape(canon, req)
-			snapHash := s.snap.Load().hash
-			body, hit := s.cache.get(shapeKey{snapshot: snapHash, shape: shape})
+			snapHash = s.snap.Load().hash
+			body, hit = s.cache.get(shapeKey{snapshot: snapHash, shape: shape})
 			if s.logging && s.logger.Enabled(r.Context(), slog.LevelDebug) {
 				s.logger.Debug("rankcache", "trace", obs.TraceID(r.Context()), "hit", hit, "shape", clip16(shape))
 			}
-			if hit {
-				s.rankOK.Add(1)
-				s.writeRanked(w, r, etagFor(snapHash, shape), body)
-				return
-			}
 		}
 	}
-	resp, err := s.Rank(r.Context(), req)
-	if err != nil {
-		s.rankErrors.Add(1)
-		s.writeError(w, err)
-		return
-	}
-	s.rankOK.Add(1)
-	var buf bytes.Buffer
-	if err := WriteRankResponse(&buf, resp); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	body := buf.Bytes()
-	etag := ""
-	if shape != "" {
-		// Key and tag under the snapshot the response was computed against
-		// (a hot-swap may have landed since the lookup above).
-		s.cache.put(shapeKey{snapshot: resp.Snapshot, shape: shape}, body)
-		etag = etagFor(resp.Snapshot, shape)
-	}
-	s.writeRanked(w, r, etag, body)
-}
-
-// writeRanked writes a rendered ranking body with its entity tag,
-// answering If-None-Match revalidation with a bodyless 304. With the
-// response cache disabled no tag exists and the body is always written.
-func (s *Server) writeRanked(w http.ResponseWriter, r *http.Request, etag string, body []byte) {
-	if etag != "" {
-		w.Header().Set("ETag", etag)
-		if inmMatches(r.Header.Get("If-None-Match"), etag) {
-			s.cache.notModified.Add(1)
-			w.WriteHeader(http.StatusNotModified)
+	if !hit {
+		resp, err := s.Rank(r.Context(), req)
+		if err != nil {
+			s.rankErrors.Inc()
+			s.writeError(w, err)
 			return
 		}
+		var buf bytes.Buffer
+		if err := WriteRankResponse(&buf, resp); err != nil {
+			s.writeError(w, err)
+			return
+		}
+		body = buf.Bytes()
+		// Key and tag under the snapshot the response was computed against
+		// (a hot-swap may have landed since the lookup above).
+		snapHash = resp.Snapshot
+		if shape != "" {
+			s.cache.put(shapeKey{snapshot: snapHash, shape: shape}, body)
+		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	s.rankOK.Inc()
+	// Revalidation is answered after the cache lookup, so a matching
+	// If-None-Match counts as a cache hit (or, on a miss, was computed).
+	etag := ""
+	if shape != "" {
+		etag = etagFor(snapHash, shape)
+	}
+	writeTagged(w, r, etag, s.rankNotModified, "application/json", func() ([]byte, error) { return body, nil })
 }
 
 func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {
@@ -791,58 +693,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"models":         s.reg.Len(),
 		"uptime_seconds": int64(time.Since(s.start).Seconds()),
 	})
-}
-
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	vars := map[string]any{
-		"requests":       s.requests.Load(),
-		"rank_ok":        s.rankOK.Load(),
-		"rank_errors":    s.rankErrors.Load(),
-		"coalesced":      s.coalesced.Load(),
-		"snapshot_swaps": s.swaps.Load(),
-		"registry":       s.reg.Stats(),
-	}
-	// Fast-path counters keep their keys even when the feature is off, so
-	// dashboards and the loadtest smoke can read them unconditionally.
-	var hits, misses, evictions, notModified, flushes, batched int64
-	var cached int
-	if s.cache != nil {
-		hits, misses = s.cache.hits.Load(), s.cache.misses.Load()
-		evictions, notModified = s.cache.evictions.Load(), s.cache.notModified.Load()
-		cached = s.cache.len()
-	}
-	if s.batch != nil {
-		flushes, batched = s.batch.flushes.Load(), s.batch.batched.Load()
-	}
-	vars["rankcache_entries"] = cached
-	vars["rankcache_hits"] = hits
-	vars["rankcache_misses"] = misses
-	vars["rankcache_evictions"] = evictions
-	vars["rankcache_not_modified"] = notModified
-	vars["batch_flushes"] = flushes
-	vars["batched_queries"] = batched
-	var rHits, rMisses, rEvictions, rNotModified int64
-	var rEntries int
-	if s.reports != nil {
-		rHits, rMisses = s.reports.hits.Load(), s.reports.misses.Load()
-		rEvictions, rNotModified = s.reports.evictions.Load(), s.reports.notModified.Load()
-		rEntries = s.reports.len()
-	}
-	vars["reportcache_entries"] = rEntries
-	vars["reportcache_hits"] = rHits
-	vars["reportcache_misses"] = rMisses
-	vars["reportcache_evictions"] = rEvictions
-	vars["reportcache_not_modified"] = rNotModified
-	vars["report_renders"] = s.reportRenders.Load()
-	vars["report_errors"] = s.reportErrors.Load()
-	vars["report_coalesced"] = s.reportCoalesced.Load()
-	vars["report_units_computed"] = s.reportUnitsComputed.Load()
-	vars["report_units_hit"] = s.reportUnitsHit.Load()
-	if s.store != nil {
-		vars["store"] = s.store.Stats()
-	}
-	if s.work != nil {
-		vars["work"] = s.work.Stats()
-	}
-	writeJSON(w, http.StatusOK, vars)
 }

@@ -39,7 +39,7 @@ func storeWorld(t *testing.T) (*httptest.Server, string) {
 
 // TestServerMountsResultStore drives the daemon's /v1/store/ endpoints
 // through the resultstore client: a remote put is readable both over
-// HTTP and directly from the served directory, and /debug/vars reports
+// HTTP and directly from the served directory, and /v1/status reports
 // the store counters.
 func TestServerMountsResultStore(t *testing.T) {
 	ts, dir := storeWorld(t)
@@ -68,7 +68,7 @@ func TestServerMountsResultStore(t *testing.T) {
 		t.Fatalf("dir Get of daemon-stored unit = %v %v %v", ok, err, v)
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/vars")
+	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}

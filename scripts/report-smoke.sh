@@ -9,7 +9,8 @@
 #      daemon-computed units are plain CLI store units
 #   5. warm the store fully (`dtrank run -spec all -cache`), then GET every
 #      remaining spec: each render must be byte-identical to the CLI and
-#      the daemon's report_units_computed counter must not move — a cold
+#      the daemon's dtrank_report_units_computed_total counter must not
+#      move — a cold
 #      request against a warm store recomputes nothing
 #   6. re-GET table2: served from the report render cache (hit counter)
 #   7. GET with If-None-Match: bodyless 304, not_modified counter
@@ -58,13 +59,14 @@ for i in $(seq 1 50); do
 done
 echo "report-smoke: daemon up" >&2
 
-var() {
-    curl -fsS "$base/debug/vars" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
+# metric NAME prints the value of an unlabelled /metrics series.
+metric() {
+    curl -fsS "$base/metrics" | sed -n "s/^$1 \([0-9]*\)$/\1/p"
 }
 
 # --- cold render: the daemon computes the spec's missing units -----------
 curl -fsS -D "$dir/headers1.txt" "$base/v1/reports/$FIRST_SPEC" >"$dir/served1.txt"
-computed=$(var report_units_computed)
+computed=$(metric dtrank_report_units_computed_total)
 if [ "${computed:-0}" -le 0 ]; then
     echo "report-smoke: cold render computed $computed units, want > 0" >&2
     exit 1
@@ -92,7 +94,7 @@ echo "report-smoke: CLI parity for $FIRST_SPEC (0 recomputes)" >&2
 # --- warm the store fully, then render everything else -------------------
 "$dir/dtrank" run -spec all -seed "$SEED" -cache "$store" "${FLAGS[@]}" \
     >"$dir/all.txt" 2>/dev/null
-computed_before=$(var report_units_computed)
+computed_before=$(metric dtrank_report_units_computed_total)
 specs=$(curl -fsS "$base/v1/reports" | tr ',' '\n' | sed -n 's/.*"spec":"\([^"]*\)".*/\1/p')
 for spec in $specs; do
     [ "$spec" = "$FIRST_SPEC" ] && continue
@@ -105,7 +107,7 @@ for spec in $specs; do
         exit 1
     fi
 done
-computed_after=$(var report_units_computed)
+computed_after=$(metric dtrank_report_units_computed_total)
 if [ "$computed_after" -ne "$computed_before" ]; then
     echo "report-smoke: cold requests against a warm store recomputed $(( computed_after - computed_before )) units, want 0" >&2
     exit 1
@@ -114,9 +116,9 @@ n=$(echo "$specs" | wc -w)
 echo "report-smoke: $(( n - 1 )) more specs byte-identical, 0 units recomputed" >&2
 
 # --- render cache hit ----------------------------------------------------
-hits_before=$(var reportcache_hits)
+hits_before=$(metric dtrank_reportcache_hits_total)
 curl -fsS "$base/v1/reports/$FIRST_SPEC" >"$dir/served2.txt"
-hits_after=$(var reportcache_hits)
+hits_after=$(metric dtrank_reportcache_hits_total)
 if [ "$hits_after" -le "$hits_before" ]; then
     echo "report-smoke: warm re-render was not a cache hit ($hits_before -> $hits_after)" >&2
     exit 1
@@ -134,10 +136,10 @@ if [ -z "$etag" ]; then
     cat "$dir/headers1.txt" >&2
     exit 1
 fi
-nm_before=$(var reportcache_not_modified)
+nm_before=$(metric dtrank_reportcache_not_modified_total)
 code=$(curl -fsS -o "$dir/body304.txt" -w '%{http_code}' \
     -H "If-None-Match: $etag" "$base/v1/reports/$FIRST_SPEC")
-nm_after=$(var reportcache_not_modified)
+nm_after=$(metric dtrank_reportcache_not_modified_total)
 if [ "$code" != "304" ] || [ -s "$dir/body304.txt" ]; then
     echo "report-smoke: If-None-Match got HTTP $code with $(wc -c <"$dir/body304.txt") bytes, want bodyless 304" >&2
     exit 1

@@ -77,9 +77,9 @@ cmp -s "$dir/server.json" "$dir/server2.json" || {
     echo "serve-smoke: warm query diverged" >&2
     exit 1
 }
-curl -fsS "$base/debug/vars" >"$dir/vars.json"
-grep -q '"fits":1' "$dir/vars.json" || {
-    echo "serve-smoke: expected exactly 1 fit, got: $(cat "$dir/vars.json")" >&2
+curl -fsS "$base/metrics" >"$dir/metrics.txt"
+grep -qx 'dtrank_registry_fits_total 1' "$dir/metrics.txt" || {
+    echo "serve-smoke: expected exactly 1 fit, got: $(grep '^dtrank_registry_fits_total' "$dir/metrics.txt")" >&2
     exit 1
 }
 echo "serve-smoke: warm query served from registry (1 fit, 2 queries)"

@@ -108,8 +108,8 @@ done
 
 run_shards http "$base"
 
-curl -fsS "$base/debug/vars" >"$dir/vars.json"
-grep -q '"store"' "$dir/vars.json" || {
+curl -fsS "$base/v1/status" >"$dir/status.json"
+grep -q '"store"' "$dir/status.json" || {
     echo "shard-smoke: daemon reported no store counters" >&2
     exit 1
 }
