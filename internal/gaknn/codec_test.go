@@ -81,4 +81,12 @@ func TestDecodeRejectsInconsistentPayload(t *testing.T) {
 	check("neighbour out of range", func(b *Model) { b.Neighbours[0].Index = 99 })
 	check("negative distance", func(b *Model) { b.Neighbours[0].Distance = -1 })
 	check("table shape mismatch", func(b *Model) { b.nt = b.nt + 1 })
+	// An empty vote divides 0 by 0: every prediction would be NaN.
+	check("no neighbours", func(b *Model) { b.Neighbours = nil })
+	check("more neighbours than benchmarks", func(b *Model) {
+		rows := len(b.tgt.data) / b.tgt.cols
+		for len(b.Neighbours) <= rows {
+			b.Neighbours = append(b.Neighbours, b.Neighbours[0])
+		}
+	})
 }

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/ga"
@@ -85,9 +84,7 @@ func (m *Model) PredictTargets(dst []float64) error {
 	if len(dst) != m.nt {
 		return fmt.Errorf("gaknn: model predicts %d targets, got %d slots", m.nt, len(dst))
 	}
-	for t := 0; t < m.nt; t++ {
-		dst[t] = weightedMean(m.Neighbours, func(b int) float64 { return m.tgt.at(b, t) })
-	}
+	vote(dst, m.Neighbours, make([]float64, len(m.Neighbours)), m.tgt)
 	return nil
 }
 
@@ -133,6 +130,9 @@ func decodeModel(r io.Reader) (transpose.Model, error) {
 		return nil, fmt.Errorf("gaknn payload has %d scores for a %d-column table", len(w.Tgt), w.Cols)
 	}
 	rows := len(w.Tgt) / w.Cols
+	if len(w.Neighbours) == 0 || len(w.Neighbours) > rows {
+		return nil, fmt.Errorf("gaknn payload has %d neighbours over %d benchmarks", len(w.Neighbours), rows)
+	}
 	for _, n := range w.Neighbours {
 		if n.Index < 0 || n.Index >= rows {
 			return nil, fmt.Errorf("gaknn payload neighbour %d outside %d benchmarks", n.Index, rows)
@@ -172,6 +172,9 @@ func (r rowMajor) row(b int) []float64 { return r.data[b*r.cols : (b+1)*r.cols] 
 // scratch, fills it from its inputs, and returns it.
 type looScratch struct {
 	nbrs []knn.Neighbour
+	// buf holds the nb×nb weighted distances (row-major, symmetric), then
+	// one vote weight per neighbour, then one prediction per target.
+	buf []float64
 }
 
 var looScratchPool = engine.NewScratch(func() *looScratch { return &looScratch{} })
@@ -233,97 +236,101 @@ func (p *Predictor) Fit(f transpose.Fold) (transpose.Model, error) {
 		return nil, fmt.Errorf("gaknn: weight learning: %w", err)
 	}
 
-	// The application's k nearest benchmarks under the learned metric.
-	nbrs := p.nearest(res.Best, zBench, zApp, -1, nil)
 	return &Model{
 		Weights:    res.Best,
-		Neighbours: nbrs,
+		Neighbours: nearest(res.Best, zBench, zApp, min(p.K, nb)),
 		tgt:        scores,
 		nt:         nt,
 	}, nil
 }
 
 // looError is the GA fitness: mean relative error of leave-one-out kNN
-// prediction over the training benchmarks and all target machines. It
-// draws its neighbour buffer from a per-worker scratch pool, so one
-// evaluation allocates nothing once the pool is warm.
+// prediction over the training benchmarks and all target machines. Each
+// pair's weighted distance is computed once and mirrored: a−b = −(b−a)
+// and (w·(−d))·(−d) = (w·d)·d hold exactly, so row b of the matrix is
+// bit for bit what a per-benchmark query from b computes. Buffers come
+// from a per-worker scratch pool, so one evaluation allocates nothing
+// once the pool is warm.
 func (p *Predictor) looError(w []float64, zBench [][]float64, scores rowMajor) float64 {
 	s := looScratchPool.Get()
 	defer looScratchPool.Put(s)
-	total, count := 0.0, 0
-	for b := range zBench {
-		nbrs := p.nearest(w, zBench, zBench[b], b, s.nbrs)
-		s.nbrs = nbrs[:0]
-		row := scores.row(b)
-		for t, actual := range row {
-			pred := weightedMean(nbrs, func(nb int) float64 { return scores.at(nb, t) })
-			total += math.Abs(pred-actual) / actual
-			count++
+	nb := len(zBench)
+	k := min(p.K, nb-1)
+	s.buf = engine.GrowFloats(s.buf, nb*nb+k+scores.cols)
+	dist, votes, pred := s.buf[:nb*nb], s.buf[nb*nb:nb*nb+k], s.buf[nb*nb+k:]
+	if cap(s.nbrs) < k {
+		s.nbrs = make([]knn.Neighbour, 0, k)
+	}
+	for i := range zBench {
+		for j := i + 1; j < nb; j++ {
+			d := distance(w, zBench[i], zBench[j])
+			dist[i*nb+j], dist[j*nb+i] = d, d
 		}
 	}
-	if count == 0 {
+	total := 0.0
+	for b := range zBench {
+		nbrs := s.nbrs[:0]
+		for i, d := range dist[b*nb : (b+1)*nb] {
+			if i != b {
+				nbrs = knn.Insert(nbrs, k, knn.Neighbour{Index: i, Distance: d})
+			}
+		}
+		vote(pred, nbrs, votes, scores)
+		for t, actual := range scores.row(b) {
+			total += math.Abs(pred[t]-actual) / actual
+		}
+	}
+	if nb*scores.cols == 0 {
 		return math.Inf(1)
 	}
-	return total / float64(count)
+	return total / float64(nb*scores.cols)
 }
 
-// nearest returns the k nearest benchmarks to query under the weighted
-// Euclidean metric, excluding index skip (pass -1 to keep all). buf, when
-// non-nil, provides the neighbour buffer (contents overwritten). Distances,
-// the stable (distance, index) ordering and the k clamp match
-// knn.Regressor.Neighbours exactly.
-func (p *Predictor) nearest(w []float64, zBench [][]float64, query []float64, skip int, buf []knn.Neighbour) []knn.Neighbour {
-	n := len(zBench)
-	if skip >= 0 {
-		n--
-	}
-	if cap(buf) < n {
-		buf = make([]knn.Neighbour, 0, n)
-	}
-	all := buf[:0]
+// nearest returns the k nearest benchmarks to query under the weights w,
+// closest first, in a slice of exactly k entries.
+func nearest(w []float64, zBench [][]float64, query []float64, k int) []knn.Neighbour {
+	nbrs := make([]knn.Neighbour, 0, k)
 	for i, v := range zBench {
-		if i == skip {
-			continue
-		}
-		s := 0.0
-		for j := range query {
-			d := query[j] - v[j]
-			s += w[j] * d * d
-		}
-		all = append(all, knn.Neighbour{Index: i, Distance: math.Sqrt(s)})
+		nbrs = knn.Insert(nbrs, k, knn.Neighbour{Index: i, Distance: distance(w, query, v)})
 	}
-	// (Distance, Index) is a strict total order (distances are finite —
-	// GA genes are clamped to [0,1] — and indices unique), so this
-	// allocation-free unstable sort is permutation-identical to the
-	// stable sort knn.Regressor.Neighbours runs.
-	slices.SortFunc(all, func(a, b knn.Neighbour) int {
-		if a.Distance != b.Distance {
-			if a.Distance < b.Distance {
-				return -1
-			}
-			return 1
-		}
-		return a.Index - b.Index
-	})
-	k := p.K
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+	return nbrs
 }
 
-// weightedMean combines neighbour values with inverse-squared-distance
-// weights (the standard distance weighting of kNN regression, cf. WEKA's
-// IBk -I): nearby benchmarks dominate the vote.
-func weightedMean(nbrs []knn.Neighbour, value func(benchIdx int) float64) float64 {
-	const eps = 1e-6
-	var num, den float64
-	for _, n := range nbrs {
-		w := 1 / (n.Distance*n.Distance + eps)
-		num += w * value(n.Index)
-		den += w
+// distance is the weighted Euclidean distance sqrt(Σ wⱼ (aⱼ−bⱼ)²) whose
+// weights the GA learns.
+func distance(w, a, b []float64) float64 {
+	s := 0.0
+	for j := range a {
+		d := a[j] - b[j]
+		s += w[j] * d * d
 	}
-	return num / den
+	return math.Sqrt(s)
+}
+
+// vote predicts every target machine as the mean of the neighbours'
+// scores on it, weighted by inverse squared distance (the standard
+// distance weighting of kNN regression, cf. WEKA's IBk -I): nearby
+// benchmarks dominate the vote. weights is scratch of len(nbrs); the
+// weights and their sum are computed once for all targets. Each
+// target's numerator is accumulated in dst neighbour by neighbour, the
+// same addition chain as a per-target loop, while streaming score rows.
+func vote(dst []float64, nbrs []knn.Neighbour, weights []float64, scores rowMajor) {
+	const eps = 1e-6
+	den := 0.0
+	for i, n := range nbrs {
+		weights[i] = 1 / (n.Distance*n.Distance + eps)
+		den += weights[i]
+	}
+	clear(dst)
+	for i, n := range nbrs {
+		w, row := weights[i], scores.row(n.Index)[:len(dst)]
+		for t, v := range row {
+			dst[t] += w * v
+		}
+	}
+	for t := range dst {
+		dst[t] /= den
+	}
 }
 
 // normalise z-scores each dimension over the benchmark vectors plus the

@@ -231,20 +231,10 @@ func TestLooErrorAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	_, tgt, chars := clusteredWorld(t, 5)
-	bench := tgt.Benchmarks
-	vectors := make([][]float64, len(bench))
-	for i, name := range bench {
-		vectors[i] = chars[name]
-	}
-	zBench, _ := normalise(vectors, chars["a0"])
-	nt := tgt.NumMachines()
-	scores := rowMajor{data: make([]float64, len(bench)*nt), cols: nt}
-	for b := range bench {
-		tgt.CopyRowInto(b, scores.row(b))
-	}
+	in := clusteredInput(t, 5, "a0", nil)
+	zBench, scores := in.zBench, in.scores
 	p := fastNew(3, 3)
-	w := make([]float64, len(chars["a0"]))
+	w := make([]float64, len(in.zApp))
 	for j := range w {
 		w[j] = 0.5
 	}

@@ -1,67 +1,8 @@
-// Package knn implements k-nearest-neighbour regression with pluggable,
-// optionally weighted distance metrics. It is the prediction substrate of
-// the GA-kNN baseline: the k benchmarks nearest to the application of
-// interest in (weighted) workload-characteristic space vote on its score.
+// Package knn holds the neighbour selection shared by the k-nearest-
+// neighbour predictors: the GA-kNN baseline (benchmarks nearest the
+// application in weighted workload-characteristic space) and kNN^M
+// (predictive machines nearest each target in score space).
 package knn
-
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
-)
-
-// ErrNoNeighbours is returned when the training set is empty.
-var ErrNoNeighbours = errors.New("knn: no training points")
-
-// Distance computes the dissimilarity of two equal-length vectors.
-type Distance func(a, b []float64) float64
-
-// Euclidean is the unweighted L2 distance.
-func Euclidean(a, b []float64) float64 {
-	mustMatch(a, b)
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// Manhattan is the unweighted L1 distance.
-func Manhattan(a, b []float64) float64 {
-	mustMatch(a, b)
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-// WeightedEuclidean returns an L2 distance with one non-negative weight per
-// dimension: d(a,b) = sqrt(Σ wᵢ (aᵢ−bᵢ)²). This is the metric whose weights
-// the GA of the GA-kNN baseline learns.
-func WeightedEuclidean(weights []float64) Distance {
-	w := append([]float64(nil), weights...)
-	return func(a, b []float64) float64 {
-		mustMatch(a, b)
-		if len(a) != len(w) {
-			panic(fmt.Sprintf("knn: weighted distance over %d dims with %d weights", len(a), len(w)))
-		}
-		s := 0.0
-		for i := range a {
-			d := a[i] - b[i]
-			s += w[i] * d * d
-		}
-		return math.Sqrt(s)
-	}
-}
-
-func mustMatch(a, b []float64) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("knn: distance between vectors of lengths %d and %d", len(a), len(b)))
-	}
-}
 
 // Neighbour is one training point with its distance from the query.
 type Neighbour struct {
@@ -69,95 +10,33 @@ type Neighbour struct {
 	Distance float64
 }
 
-// Regressor predicts a scalar target as a distance-weighted mean of the k
-// nearest training points.
-type Regressor struct {
-	points  [][]float64
-	targets []float64
-	k       int
-	dist    Distance
-	// InverseDistanceWeighting weights each neighbour by 1/(d+eps) instead
-	// of uniformly.
-	InverseDistanceWeighting bool
+// before reports whether a precedes b under (Distance, then Index). For
+// finite distances and unique indices this is a strict total order.
+func (a Neighbour) before(b Neighbour) bool {
+	if a.Distance != b.Distance {
+		return a.Distance < b.Distance
+	}
+	return a.Index < b.Index
 }
 
-// NewRegressor builds a kNN regressor over the given training points.
-// k is clamped to the training-set size at query time.
-func NewRegressor(points [][]float64, targets []float64, k int, dist Distance) (*Regressor, error) {
-	if len(points) == 0 {
-		return nil, ErrNoNeighbours
+// Insert adds n to top, the k nearest neighbours seen so far, and returns
+// the updated slice: at most k (k >= 1) entries, closest first under
+// (Distance, then Index). Feeding every candidate through Insert yields
+// the same prefix as sorting all candidates under that order and keeping
+// the first k, because the order is total. With cap(top) >= k it
+// allocates nothing.
+func Insert(top []Neighbour, k int, n Neighbour) []Neighbour {
+	i := len(top)
+	if i < k {
+		top = append(top, n)
+	} else if n.before(top[i-1]) {
+		i--
+	} else {
+		return top
 	}
-	if len(points) != len(targets) {
-		return nil, fmt.Errorf("knn: %d points but %d targets", len(points), len(targets))
+	for ; i > 0 && n.before(top[i-1]); i-- {
+		top[i] = top[i-1]
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("knn: k = %d must be >= 1", k)
-	}
-	if dist == nil {
-		dist = Euclidean
-	}
-	dim := len(points[0])
-	for i, p := range points {
-		if len(p) != dim {
-			return nil, fmt.Errorf("knn: point %d has %d dims, want %d", i, len(p), dim)
-		}
-	}
-	return &Regressor{points: points, targets: targets, k: k, dist: dist}, nil
-}
-
-// Neighbours returns the k nearest training points to q, closest first.
-// Ties are broken by index for determinism.
-func (r *Regressor) Neighbours(q []float64) ([]Neighbour, error) {
-	return r.NeighboursInto(q, nil)
-}
-
-// NeighboursInto is Neighbours with a caller-supplied scratch buffer: buf's
-// backing array is reused when its capacity fits the training set, so
-// repeated queries allocate nothing. The returned slice aliases buf and is
-// only valid until the next call with the same buffer.
-func (r *Regressor) NeighboursInto(q []float64, buf []Neighbour) ([]Neighbour, error) {
-	if len(q) != len(r.points[0]) {
-		return nil, fmt.Errorf("knn: query has %d dims, want %d", len(q), len(r.points[0]))
-	}
-	if cap(buf) < len(r.points) {
-		buf = make([]Neighbour, len(r.points))
-	}
-	all := buf[:len(r.points)]
-	for i, p := range r.points {
-		all[i] = Neighbour{Index: i, Distance: r.dist(q, p)}
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].Distance != all[b].Distance {
-			return all[a].Distance < all[b].Distance
-		}
-		return all[a].Index < all[b].Index
-	})
-	k := r.k
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k], nil
-}
-
-// Predict returns the (weighted) mean target of the k nearest neighbours.
-func (r *Regressor) Predict(q []float64) (float64, error) {
-	nbrs, err := r.Neighbours(q)
-	if err != nil {
-		return 0, err
-	}
-	if !r.InverseDistanceWeighting {
-		s := 0.0
-		for _, n := range nbrs {
-			s += r.targets[n.Index]
-		}
-		return s / float64(len(nbrs)), nil
-	}
-	const eps = 1e-9
-	var num, den float64
-	for _, n := range nbrs {
-		w := 1 / (n.Distance + eps)
-		num += w * r.targets[n.Index]
-		den += w
-	}
-	return num / den, nil
+	top[i] = n
+	return top
 }

@@ -1,267 +1,88 @@
 package knn
 
 import (
-	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
-func TestDistances(t *testing.T) {
-	a := []float64{0, 0}
-	b := []float64{3, 4}
-	if got := Euclidean(a, b); got != 5 {
-		t.Fatalf("Euclidean = %v, want 5", got)
-	}
-	if got := Manhattan(a, b); got != 7 {
-		t.Fatalf("Manhattan = %v, want 7", got)
-	}
-	w := WeightedEuclidean([]float64{1, 0})
-	if got := w(a, b); got != 3 {
-		t.Fatalf("WeightedEuclidean = %v, want 3 (second dim zeroed)", got)
-	}
-	// Uniform unit weights reduce to Euclidean.
-	u := WeightedEuclidean([]float64{1, 1})
-	if got := u(a, b); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("unit WeightedEuclidean = %v, want 5", got)
-	}
-}
-
-func TestDistanceMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// sortTruncate is the reference selection Insert replaces: sort every
+// candidate by (Distance, Index) and keep the first k.
+func sortTruncate(all []Neighbour, k int) []Neighbour {
+	all = append([]Neighbour(nil), all...)
+	slices.SortStableFunc(all, func(a, b Neighbour) int {
+		if a.Distance != b.Distance {
+			if a.Distance < b.Distance {
+				return -1
+			}
+			return 1
 		}
-	}()
-	Euclidean([]float64{1}, []float64{1, 2})
+		return a.Index - b.Index
+	})
+	return all[:min(k, len(all))]
 }
 
-func TestWeightedDimMismatchPanics(t *testing.T) {
-	w := WeightedEuclidean([]float64{1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	w([]float64{1, 2}, []float64{3, 4})
+func selectAll(all []Neighbour, k int) []Neighbour {
+	top := make([]Neighbour, 0, k)
+	for _, n := range all {
+		top = Insert(top, k, n)
+	}
+	return top
 }
 
-func TestNewRegressorValidation(t *testing.T) {
-	if _, err := NewRegressor(nil, nil, 1, nil); !errors.Is(err, ErrNoNeighbours) {
-		t.Fatalf("want ErrNoNeighbours, got %v", err)
-	}
-	if _, err := NewRegressor([][]float64{{1}}, []float64{1, 2}, 1, nil); err == nil {
-		t.Fatal("want length error")
-	}
-	if _, err := NewRegressor([][]float64{{1}}, []float64{1}, 0, nil); err == nil {
-		t.Fatal("want k error")
-	}
-	if _, err := NewRegressor([][]float64{{1}, {1, 2}}, []float64{1, 2}, 1, nil); err == nil {
-		t.Fatal("want dim error")
-	}
+func sameNeighbours(a, b []Neighbour) bool {
+	return slices.EqualFunc(a, b, func(x, y Neighbour) bool {
+		return x.Index == y.Index && math.Float64bits(x.Distance) == math.Float64bits(y.Distance)
+	})
 }
 
 func TestNeighboursOrderAndTies(t *testing.T) {
-	pts := [][]float64{{2}, {1}, {3}, {1}}
-	r, err := NewRegressor(pts, []float64{20, 10, 30, 11}, 3, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Distances 1, 0, 2, 0: the two zeros tie and break by index.
+	all := []Neighbour{{0, 1}, {1, 0}, {2, 2}, {3, 0}}
+	got := selectAll(all, 3)
+	want := []Neighbour{{1, 0}, {3, 0}, {0, 1}}
+	if !sameNeighbours(got, want) {
+		t.Fatalf("neighbours = %+v, want %+v", got, want)
 	}
-	nbrs, err := r.Neighbours([]float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distances: idx1=0, idx3=0, idx0=1, idx2=2. Ties by index: 1 before 3.
-	if nbrs[0].Index != 1 || nbrs[1].Index != 3 || nbrs[2].Index != 0 {
-		t.Fatalf("neighbours = %+v", nbrs)
-	}
-	if _, err := r.Neighbours([]float64{1, 2}); err == nil {
-		t.Fatal("want dim error")
+	if got := selectAll(all, 10); len(got) != len(all) {
+		t.Fatalf("k above the candidate count kept %d of %d", len(got), len(all))
 	}
 }
 
-func TestPredictUniformMean(t *testing.T) {
-	pts := [][]float64{{0}, {1}, {10}}
-	r, err := NewRegressor(pts, []float64{0, 2, 100}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Predict([]float64{0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 { // mean of targets 0 and 2
-		t.Fatalf("Predict = %v, want 1", got)
+// TestInsertMatchesSortTruncate pins Insert to the reference selection
+// on random candidate sets full of tied distances, fed in index order
+// (how every caller feeds it) and shuffled.
+func TestInsertMatchesSortTruncate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(40)
+		k := 1 + rng.Intn(n+3)
+		levels := 1 + rng.Intn(6) // few distinct distances: many ties
+		all := make([]Neighbour, n)
+		for i := range all {
+			all[i] = Neighbour{Index: i, Distance: float64(rng.Intn(levels)) * 0.25}
+		}
+		want := sortTruncate(all, k)
+		if got := selectAll(all, k); !sameNeighbours(got, want) {
+			t.Fatalf("trial %d (n=%d k=%d): Insert %+v, sort-then-truncate %+v", trial, n, k, got, want)
+		}
+		rng.Shuffle(n, func(i, j int) { all[i], all[j] = all[j], all[i] })
+		if got := selectAll(all, k); !sameNeighbours(got, want) {
+			t.Fatalf("trial %d shuffled (n=%d k=%d): Insert %+v, sort-then-truncate %+v", trial, n, k, got, want)
+		}
 	}
 }
 
-func TestPredictKClamped(t *testing.T) {
-	r, err := NewRegressor([][]float64{{0}, {1}}, []float64{3, 5}, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Predict([]float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Fatalf("Predict = %v, want mean 4 with clamped k", got)
-	}
-}
-
-func TestPredictInverseDistance(t *testing.T) {
-	r, err := NewRegressor([][]float64{{0}, {2}}, []float64{0, 10}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.InverseDistanceWeighting = true
-	got, err := r.Predict([]float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// d0=0.5 (w=2), d1=1.5 (w=2/3): prediction = (2*0 + 2/3*10)/(2+2/3) = 2.5
-	if math.Abs(got-2.5) > 1e-6 {
-		t.Fatalf("Predict = %v, want 2.5", got)
-	}
-	// Exact hit must return (approximately) the stored target.
-	got, err = r.Predict([]float64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-10) > 1e-6 {
-		t.Fatalf("exact-hit Predict = %v, want ≈ 10", got)
-	}
-}
-
-func TestWeightedMetricChangesNeighbours(t *testing.T) {
-	// Point A is near in dim 0, point B near in dim 1; weights decide.
-	pts := [][]float64{{0, 5}, {5, 0}}
-	r0, err := NewRegressor(pts, []float64{1, 2}, 1, WeightedEuclidean([]float64{1, 0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r0.Predict([]float64{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("weight dim0: Predict = %v, want 1", got)
-	}
-	r1, err := NewRegressor(pts, []float64{1, 2}, 1, WeightedEuclidean([]float64{0, 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = r1.Predict([]float64{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Fatalf("weight dim1: Predict = %v, want 2", got)
-	}
-}
-
-// Property: prediction is always within [min, max] of the targets.
-func TestPredictionWithinTargetRangeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(n8, k8 uint8, q float64) bool {
-		if math.IsNaN(q) || math.IsInf(q, 0) {
-			return true
+func TestInsertAllocFree(t *testing.T) {
+	top := make([]Neighbour, 0, 4)
+	avg := testing.AllocsPerRun(100, func() {
+		top = top[:0]
+		for i := 0; i < 20; i++ {
+			top = Insert(top, 4, Neighbour{Index: i, Distance: float64((i * 7) % 5)})
 		}
-		n := int(n8%20) + 1
-		k := int(k8%5) + 1
-		pts := make([][]float64, n)
-		ts := make([]float64, n)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range pts {
-			pts[i] = []float64{rng.NormFloat64()}
-			ts[i] = rng.NormFloat64()
-			if ts[i] < lo {
-				lo = ts[i]
-			}
-			if ts[i] > hi {
-				hi = ts[i]
-			}
-		}
-		r, err := NewRegressor(pts, ts, k, nil)
-		if err != nil {
-			return false
-		}
-		got, err := r.Predict([]float64{q})
-		if err != nil {
-			return false
-		}
-		return got >= lo-1e-9 && got <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: distances satisfy symmetry and the triangle inequality.
-func TestDistanceAxiomsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	f := func(seed uint8) bool {
-		dim := int(seed%5) + 1
-		v := func() []float64 {
-			x := make([]float64, dim)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			return x
-		}
-		a, b, c := v(), v(), v()
-		for _, d := range []Distance{Euclidean, Manhattan} {
-			if math.Abs(d(a, b)-d(b, a)) > 1e-12 {
-				return false
-			}
-			if d(a, c) > d(a, b)+d(b, c)+1e-9 {
-				return false
-			}
-			if d(a, a) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNeighboursIntoReusesBuffer(t *testing.T) {
-	points := [][]float64{{0}, {1}, {2}, {3}}
-	r, err := NewRegressor(points, []float64{0, 1, 2, 3}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]Neighbour, 0, len(points))
-	a, err := r.NeighboursInto([]float64{0.1}, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 2 || a[0].Index != 0 || a[1].Index != 1 {
-		t.Fatalf("neighbours = %+v", a)
-	}
-	if &a[0] != &buf[:1][0] {
-		t.Fatal("NeighboursInto must reuse the caller's buffer")
-	}
-	// Same query through the allocating path agrees.
-	b, err := r.Neighbours([]float64{0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range b {
-		if a[i] != b[i] {
-			t.Fatalf("buffered %v != allocating %v", a[i], b[i])
-		}
-	}
-	// A short buffer is grown, not overrun.
-	c, err := r.NeighboursInto([]float64{2.9}, make([]Neighbour, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) != 2 || c[0].Index != 3 {
-		t.Fatalf("neighbours = %+v", c)
+	})
+	if avg != 0 {
+		t.Fatalf("Insert allocates %.1f objects per 20 candidates, want 0", avg)
 	}
 }

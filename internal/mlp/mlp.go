@@ -578,8 +578,7 @@ func (n *Network) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, (*alias)(n)); err != nil {
 		return err
 	}
-	n.Repack()
-	return nil
+	return n.Repack()
 }
 
 // Repack rebuilds the flat kernel storage of every layer from the
@@ -587,8 +586,14 @@ func (n *Network) UnmarshalJSON(b []byte) error {
 // reallocates the momentum buffers. Deserialisers (JSON here, the gob
 // model codec in internal/transpose) call it so restored networks take
 // the batched kernel paths; it must not be called concurrently with
-// prediction on the same network.
-func (n *Network) Repack() {
+// prediction on the same network. It returns an error, leaving n
+// unchanged, when the serialised shape is inconsistent: layer widths
+// that do not chain from NIn inputs to NOut outputs, or scalers of the
+// wrong width.
+func (n *Network) Repack() error {
+	if err := n.checkShape(); err != nil {
+		return err
+	}
 	for l := range n.Layers {
 		ly := &n.Layers[l]
 		units := len(ly.W)
@@ -604,6 +609,36 @@ func (n *Network) Repack() {
 		ly.W, ly.dW, ly.dB = fresh.W, fresh.dW, fresh.dB
 		ly.wf, ly.dwf, ly.wm = fresh.wf, fresh.dwf, fresh.wm
 	}
+	return nil
+}
+
+// checkShape reports whether n is a network Train could have produced:
+// at least one layer, each layer's rows as wide as the layer before it
+// (NIn for the first), one bias per unit, NOut output units, and scalers
+// NIn and NOut wide.
+func (n *Network) checkShape() error {
+	if n.NIn < 1 || n.NOut < 1 || len(n.Layers) == 0 {
+		return fmt.Errorf("mlp: network of %d layers from %d inputs to %d outputs", len(n.Layers), n.NIn, n.NOut)
+	}
+	if len(n.In.Min) != n.NIn || len(n.In.Max) != n.NIn || len(n.Out.Min) != n.NOut || len(n.Out.Max) != n.NOut {
+		return fmt.Errorf("mlp: scalers do not match %d inputs and %d outputs", n.NIn, n.NOut)
+	}
+	prev := n.NIn
+	for l, ly := range n.Layers {
+		if len(ly.W) == 0 || len(ly.B) != len(ly.W) {
+			return fmt.Errorf("mlp: layer %d has %d units and %d biases", l, len(ly.W), len(ly.B))
+		}
+		for _, row := range ly.W {
+			if len(row) != prev {
+				return fmt.Errorf("mlp: layer %d unit with %d weights after a %d-wide layer", l, len(row), prev)
+			}
+		}
+		prev = len(ly.W)
+	}
+	if prev != n.NOut {
+		return fmt.Errorf("mlp: output layer has %d units for %d outputs", prev, n.NOut)
+	}
+	return nil
 }
 
 // RMSE returns the root-mean-square error of the network on a labelled set.

@@ -283,6 +283,36 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRepackRejectsInconsistentShape pins the decoder-side check: a
+// serialised network whose widths do not chain is refused, not repacked
+// into a forward pass that indexes out of range.
+func TestRepackRejectsInconsistentShape(t *testing.T) {
+	xs := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
+	ys := [][]float64{{0}, {1}, {1}, {2}}
+	cfg := DefaultConfig(11)
+	cfg.Epochs = 5
+	for name, mutate := range map[string]func(n *Network){
+		"no layers":        func(n *Network) { n.Layers = nil },
+		"short weight row": func(n *Network) { n.Layers[0].W[0] = n.Layers[0].W[0][:1] },
+		"missing bias":     func(n *Network) { n.Layers[0].B = n.Layers[0].B[:0] },
+		"output width":     func(n *Network) { n.NOut = 2 },
+		"input scaler":     func(n *Network) { n.In.Min = nil },
+		"zero inputs":      func(n *Network) { n.NIn = 0 },
+	} {
+		net, err := Train(xs, ys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Repack(); err != nil {
+			t.Fatalf("trained network: %v", err)
+		}
+		mutate(net)
+		if err := net.Repack(); err == nil {
+			t.Errorf("%s: inconsistent network repacked", name)
+		}
+	}
+}
+
 func TestRMSEErrors(t *testing.T) {
 	net, err := Train([][]float64{{0}, {1}}, [][]float64{{0}, {1}}, Config{Epochs: 1, LearningRate: 0.1})
 	if err != nil {

@@ -164,8 +164,13 @@ func DecodeModel(r io.Reader) (Model, error) {
 	if payLen > maxPayload {
 		return nil, fmt.Errorf("transpose: payload of %d bytes exceeds the %d limit", payLen, maxPayload)
 	}
-	payload := make([]byte, payLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read through a limit rather than into a payLen-sized buffer: the
+	// length is untrusted, so memory must grow with the bytes present.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(payLen)))
+	if err == nil && uint64(len(payload)) < payLen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("transpose: truncated %s payload: %w", kind, err)
 	}
 	var wantCRC uint32
@@ -249,8 +254,14 @@ func decodeSPLTModel(r io.Reader) (Model, error) {
 		if p < 0 || p >= len(wire.AppOnPred) {
 			return nil, fmt.Errorf("SPL^T payload target %d references predictive machine %d of %d", t, p, len(wire.AppOnPred))
 		}
-		if wire.Pair[t] == nil {
+		sp := wire.Pair[t]
+		if sp == nil {
 			return nil, fmt.Errorf("SPL^T payload target %d has no spline", t)
+		}
+		// A fitted spline is a line (2 coefficients, no knots) or a cubic
+		// with one truncated term per knot.
+		if len(sp.Coef) != 4+len(sp.Knots) && (len(sp.Coef) != 2 || len(sp.Knots) != 0) {
+			return nil, fmt.Errorf("SPL^T payload target %d has %d coefficients for %d knots", t, len(sp.Coef), len(sp.Knots))
 		}
 	}
 	return &SPLTModel{PredIdx: wire.PredIdx, Pair: wire.Pair, appOnPred: wire.AppOnPred}, nil
@@ -286,7 +297,9 @@ func decodeMLPTModel(r io.Reader) (Model, error) {
 		}
 		// Gob carries only the serialised weight rows; rebuild the flat
 		// kernel storage so decoded models predict on the GEMM path.
-		n.Repack()
+		if err := n.Repack(); err != nil {
+			return nil, fmt.Errorf("MLP^T payload ensemble member %d: %w", i, err)
+		}
 	}
 	if wire.Tgt == nil {
 		return nil, fmt.Errorf("MLP^T payload without target machines")

@@ -2,12 +2,15 @@ package transpose
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/mlp"
+	"repro/internal/spline"
 )
 
 // codecFold builds a deterministic fold big enough that every model family
@@ -191,6 +194,52 @@ func TestDecodeModelRejectsDamage(t *testing.T) {
 			t.Fatalf("stream end: %v", err)
 		}
 	})
+}
+
+// TestSPLTDecodeRejectsMalformedSpline: a spline whose coefficient count
+// does not match its knots would index out of range at prediction.
+func TestSPLTDecodeRejectsMalformedSpline(t *testing.T) {
+	m, err := NewSPLT().Fit(codecFold(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := m.(*SPLTModel)
+	for _, coef := range [][]float64{nil, {1}, {1, 2, 3}, make([]float64, 5+len(sm.Pair[0].Knots))} {
+		bad := *sm.Pair[0]
+		bad.Coef = coef
+		pairs := append([]*spline.Model{&bad}, sm.Pair[1:]...)
+		var buf bytes.Buffer
+		if err := EncodeModel(&buf, &SPLTModel{PredIdx: sm.PredIdx, Pair: pairs, appOnPred: sm.appOnPred}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeModel(&buf); err == nil || !strings.Contains(err.Error(), "coefficients") {
+			t.Fatalf("%d coefficients for %d knots: got %v", len(coef), len(bad.Knots), err)
+		}
+	}
+}
+
+// TestDecodeModelHostileLengthAllocatesLittle feeds a header claiming a
+// 1 GiB payload followed by 10 bytes: decoding must fail as truncated
+// without allocating for the claimed length.
+func TestDecodeModelHostileLengthAllocatesLittle(t *testing.T) {
+	var blob bytes.Buffer
+	blob.WriteString(codecMagic)
+	binary.Write(&blob, binary.LittleEndian, uint16(codecVersion))
+	binary.Write(&blob, binary.LittleEndian, uint16(3))
+	blob.WriteString("nnt")
+	binary.Write(&blob, binary.LittleEndian, uint64(1<<30))
+	blob.Write(make([]byte, 10))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeModel(bytes.NewReader(blob.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("got %v, want a truncated-payload error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("decoding a %d-byte file allocated %d bytes", blob.Len(), alloc)
+	}
 }
 
 func TestEncodeModelRejectsNonBinaryModels(t *testing.T) {

@@ -1,0 +1,61 @@
+package transpose_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"testing"
+
+	_ "repro/internal/gaknn" // registers the "gaknn" model kind
+	"repro/internal/transpose"
+)
+
+// reseal returns blob with its trailing checksum recomputed when blob is
+// laid out as one model file (header, payload of the declared length,
+// checksum), and nil otherwise. Random mutations of a model almost never
+// keep the checksum valid, so without resealing the fuzzer would not get
+// past it to the payload decoders.
+func reseal(blob []byte) []byte {
+	const kindAt = 12 // magic (8) + version (2) + kind length (2)
+	if len(blob) < kindAt {
+		return nil
+	}
+	kindEnd := kindAt + int(binary.LittleEndian.Uint16(blob[10:kindAt]))
+	if len(blob) < kindEnd+8 {
+		return nil
+	}
+	payLen := binary.LittleEndian.Uint64(blob[kindEnd:])
+	payAt := kindEnd + 8
+	if payLen != uint64(len(blob)-payAt-4) {
+		return nil
+	}
+	out := append([]byte(nil), blob...)
+	crc := crc32.NewIEEE()
+	crc.Write(out[kindAt:kindEnd])
+	crc.Write(out[payAt : len(out)-4])
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc.Sum32())
+	return out
+}
+
+// FuzzDecodeModel feeds hostile model files to DecodeModel, as is and
+// with a valid checksum: decoding must never panic, and neither may
+// PredictTargets on any model it accepts. The seed corpus in
+// testdata/fuzz/FuzzDecodeModel holds one valid model of each kind, a
+// truncated model and a header claiming a 1 GiB payload.
+func FuzzDecodeModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for _, in := range [][]byte{blob, reseal(blob)} {
+			if in == nil {
+				continue
+			}
+			m, err := transpose.DecodeModel(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			if n := m.NumTargets(); n < 0 || n > len(in) {
+				t.Fatalf("decoded model claims %d targets from %d bytes", n, len(in))
+			}
+			_ = m.PredictTargets(make([]float64, m.NumTargets()))
+		}
+	})
+}

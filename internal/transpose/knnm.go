@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/knn"
@@ -125,10 +124,7 @@ func (p *KNNM) Fit(f Fold) (Model, error) {
 		Neighbours: make([][]knn.Neighbour, nt),
 		appOnPred:  f.AppOnPred,
 	}
-	k := p.K
-	if k > np {
-		k = np
-	}
+	k := min(p.K, np)
 	s.y = engine.GrowFloats(s.y, nb)
 	for t := 0; t < nt; t++ {
 		f.Tgt.CopyColInto(t, s.y)
@@ -138,30 +134,16 @@ func (p *KNNM) Fit(f Fold) (Model, error) {
 			}
 			s.y[i] = math.Log2(v)
 		}
-		all := make([]knn.Neighbour, np)
+		nbrs := make([]knn.Neighbour, 0, k)
 		for c, col := range candidates {
 			d := 0.0
 			for i := range s.y {
 				diff := s.y[i] - col[i]
 				d += diff * diff
 			}
-			all[c] = knn.Neighbour{Index: c, Distance: math.Sqrt(d)}
+			nbrs = knn.Insert(nbrs, k, knn.Neighbour{Index: c, Distance: math.Sqrt(d)})
 		}
-		// (Distance, Index) is a strict total order (distances finite,
-		// indices unique), so the unstable sort is deterministic.
-		slices.SortFunc(all, func(a, b knn.Neighbour) int {
-			if a.Distance != b.Distance {
-				if a.Distance < b.Distance {
-					return -1
-				}
-				return 1
-			}
-			return a.Index - b.Index
-		})
-		// Copy the kept prefix: a sliced view would pin the full
-		// np-length backing array for the model's lifetime (models live
-		// in the dtrankd registry LRU).
-		m.Neighbours[t] = append([]knn.Neighbour(nil), all[:k]...)
+		m.Neighbours[t] = nbrs
 	}
 	return m, nil
 }

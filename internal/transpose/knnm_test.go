@@ -3,7 +3,10 @@ package transpose
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/knn"
 )
 
 func knnmFold(t *testing.T) Fold {
@@ -54,6 +57,66 @@ func TestKNNMNeighbourStructure(t *testing.T) {
 		for _, n := range nbrs {
 			if math.IsNaN(n.Distance) || n.Distance < 0 {
 				t.Fatalf("distance %v", n.Distance)
+			}
+		}
+	}
+}
+
+// refKNNMNeighbours is the selection KNNM.Fit ran before the bounded
+// top-k: every predictive machine's log₂-profile distance to target t,
+// sorted by (Distance, Index) and truncated to k.
+func refKNNMNeighbours(f Fold, t, k int) []knn.Neighbour {
+	logCol := func(col []float64) []float64 {
+		out := make([]float64, len(col))
+		for i, v := range col {
+			out[i] = math.Log2(v)
+		}
+		return out
+	}
+	y := logCol(f.Tgt.Col(t))
+	all := make([]knn.Neighbour, f.Pred.NumMachines())
+	for c := range all {
+		col := logCol(f.Pred.Col(c))
+		d := 0.0
+		for i := range y {
+			diff := y[i] - col[i]
+			d += diff * diff
+		}
+		all[c] = knn.Neighbour{Index: c, Distance: math.Sqrt(d)}
+	}
+	slices.SortStableFunc(all, func(a, b knn.Neighbour) int {
+		if a.Distance != b.Distance {
+			if a.Distance < b.Distance {
+				return -1
+			}
+			return 1
+		}
+		return a.Index - b.Index
+	})
+	return all[:min(k, len(all))]
+}
+
+// TestKNNMNeighboursMatchSortTruncate pins the fitted neighbour sets to
+// the sort-then-truncate selection, including tied distances from
+// duplicated predictive machines and k at and beyond the clamp.
+func TestKNNMNeighboursMatchSortTruncate(t *testing.T) {
+	pred, tgt := syntheticPair(t, 9, 7, 5, 0.02, 11)
+	for b := 0; b < pred.NumBenchmarks(); b++ { // machines 1 and 4 duplicate machine 2
+		pred.Set(b, 1, pred.At(b, 2))
+		pred.Set(b, 4, pred.At(b, 2))
+	}
+	fold, _, err := NewFold(pred, tgt, "benchD", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 3, DefaultKNNMK, 7, 12} {
+		m, err := (&KNNM{K: k}).Fit(fold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tt, got := range m.(*KNNMModel).Neighbours {
+			if want := refKNNMNeighbours(fold, tt, k); !slices.Equal(got, want) {
+				t.Fatalf("k=%d target %d: fitted %+v, sort-then-truncate %+v", k, tt, got, want)
 			}
 		}
 	}
