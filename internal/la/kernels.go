@@ -8,11 +8,10 @@ import (
 
 // This file holds the allocation-free kernel variants the fit hot path
 // runs on: transposed-operand multiplies for weight matrices stored
-// row-major (the natural layout of an MLP layer), in-place GEMV forms,
-// and the fused vector updates of momentum back-propagation. Every
-// kernel accumulates each output element in a single ascending-index
-// chain, so results are bitwise identical to the naive reference loops
-// they replace (and are tested against).
+// row-major (the natural layout of an MLP layer) and in-place GEMV
+// forms. Every kernel accumulates each output element in a single
+// ascending-index chain, so results are bitwise identical to the naive
+// reference loops they replace (and are tested against).
 
 // ReuseMatrix returns a rows×cols matrix backed by m's storage when m is
 // non-nil, owns its backing and has capacity for the new shape;
@@ -202,22 +201,6 @@ func (m *Matrix) MulVecTInto(dst, v []float64) error {
 		}
 	}
 	return nil
-}
-
-// MomentumAxpy applies one momentum gradient step to a weight row in
-// place: upd_k = g·x_k + mu·dw_k; w_k += upd_k; dw_k = upd_k. It is the
-// fused axpy at the bottom of online back-propagation, hoisted here so
-// the trainer's inner loop is a single streaming pass over three
-// equal-length slices. It panics on length mismatch.
-func MomentumAxpy(w, dw, x []float64, g, mu float64) {
-	if len(w) != len(x) || len(dw) != len(x) {
-		panic(fmt.Sprintf("la: MomentumAxpy over lengths %d, %d, %d", len(w), len(dw), len(x)))
-	}
-	for k, v := range x {
-		upd := g*v + mu*dw[k]
-		w[k] += upd
-		dw[k] = upd
-	}
 }
 
 // ScaleInPlace multiplies every element of v by s in place.

@@ -174,27 +174,6 @@ func TestTIntoMatchesT(t *testing.T) {
 	}
 }
 
-func TestMomentumAxpyMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, n := range []int{1, 3, 17, 130} {
-		w := kernRandVec(rng, n)
-		dw := kernRandVec(rng, n)
-		x := kernRandVec(rng, n)
-		g, mu := rng.Float64(), rng.Float64()
-		wantW := append([]float64(nil), w...)
-		wantDW := append([]float64(nil), dw...)
-		// Reference: the trainer's original per-weight update.
-		for k, v := range x {
-			upd := g*v + mu*wantDW[k]
-			wantW[k] += upd
-			wantDW[k] = upd
-		}
-		MomentumAxpy(w, dw, x, g, mu)
-		requireBitwise(t, "MomentumAxpy w", w, wantW)
-		requireBitwise(t, "MomentumAxpy dw", dw, wantDW)
-	}
-}
-
 func TestScaleInPlaceMatchesScaleVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	v := kernRandVec(rng, 33)

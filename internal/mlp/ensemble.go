@@ -24,37 +24,31 @@ type Ensemble struct {
 // index, never on scheduling.
 //
 // Members are split into one contiguous chunk per available worker;
-// chunks train concurrently and the members within a chunk train
-// together through TrainBatch's stacked kernels. Both axes are
-// bitwise-neutral — each member's weights depend only on its seed and
-// the instances — so results are identical for every worker count.
+// chunks train concurrently and each member trains through Train. A
+// member's weights depend only on its seed and the instances, so results
+// are identical for every worker count.
 func TrainEnsemble(inputs, targets [][]float64, cfg Config, n int, pool *engine.Pool) (*Ensemble, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mlp: ensemble of %d networks", n)
 	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = cfg.Seed
-		if n > 1 {
-			seeds[i] = engine.Seed(cfg.Seed, int64(i))
+	chunks := min(max(pool.Workers(), 1), n)
+	nets := make([]*Network, n)
+	err := pool.Map(chunks, func(g int) error {
+		for i := g * n / chunks; i < (g+1)*n/chunks; i++ {
+			c := cfg
+			if n > 1 {
+				c.Seed = engine.Seed(cfg.Seed, int64(i))
+			}
+			net, err := Train(inputs, targets, c)
+			if err != nil {
+				return err
+			}
+			nets[i] = net
 		}
-	}
-	chunks := pool.Workers()
-	if chunks > n {
-		chunks = n
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	groups, err := engine.Collect(pool, chunks, func(g int) ([]*Network, error) {
-		return TrainBatch(inputs, targets, cfg, seeds[g*n/chunks:(g+1)*n/chunks])
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	nets := make([]*Network, 0, n)
-	for _, grp := range groups {
-		nets = append(nets, grp...)
 	}
 	return &Ensemble{Nets: nets}, nil
 }

@@ -1,6 +1,7 @@
 package mlp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -70,6 +71,60 @@ func TestTrainEnsembleDeterministicAcrossWorkers(t *testing.T) {
 	if math.IsNaN(ya) {
 		t.Fatal("NaN prediction")
 	}
+}
+
+// requireMembersMatchTrain fails unless every member of a TrainEnsemble
+// of each size, on 1 and 3 workers, is bit for bit the network Train
+// fits alone with that member's seed (cfg.Seed itself for a single
+// member).
+func requireMembersMatchTrain(t *testing.T, name string, cfg Config, sizes []int) {
+	t.Helper()
+	inputs, targets := batchTrainingSet(19)
+	for _, size := range sizes {
+		for _, workers := range []int{1, 3} {
+			ens, err := TrainEnsemble(inputs, targets, cfg, size, engine.New(workers))
+			if err != nil {
+				t.Fatalf("%s size=%d workers=%d: %v", name, size, workers, err)
+			}
+			if len(ens.Nets) != size {
+				t.Fatalf("%s: %d members, want %d", name, len(ens.Nets), size)
+			}
+			for i, net := range ens.Nets {
+				c := cfg
+				if size > 1 {
+					c.Seed = engine.Seed(cfg.Seed, int64(i))
+				}
+				want, err := Train(inputs, targets, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameNetwork(t, fmt.Sprintf("%s size=%d workers=%d member %d", name, size, workers, i), net, want)
+			}
+		}
+	}
+}
+
+// TestTrainBatchMatchesPerSample asserts training a batch of ensemble
+// members gives each member exactly the per-sample Train result for its
+// seed, across ensemble sizes, depths, and the decayed-learning-rate
+// schedule.
+func TestTrainBatchMatchesPerSample(t *testing.T) {
+	cfgs := map[string]Config{
+		"default": {LearningRate: 0.3, Momentum: 0.2, Epochs: 25, Seed: 4},
+		"deep":    {LearningRate: 0.25, Momentum: 0.1, Epochs: 15, Seed: 5, Hidden: []int{5, 3}},
+		"decay":   {LearningRate: 0.3, Momentum: 0.2, Epochs: 12, Seed: 6, Decay: true},
+	}
+	for name, cfg := range cfgs {
+		requireMembersMatchTrain(t, name, cfg, []int{1, 2, 3, 5})
+	}
+}
+
+// TestTrainBatchShuffleFallsBack asserts shuffled training, where every
+// member draws its own instance order, still gives each ensemble member
+// exactly the per-sample Train result for its seed.
+func TestTrainBatchShuffleFallsBack(t *testing.T) {
+	cfg := Config{LearningRate: 0.3, Momentum: 0.2, Epochs: 10, Seed: 7, Shuffle: true}
+	requireMembersMatchTrain(t, "shuffle", cfg, []int{3, 5})
 }
 
 func TestTrainEnsembleMembersDiffer(t *testing.T) {

@@ -90,44 +90,34 @@ func (c Config) validate() error {
 // prediction kernels stream the flat storage while W keeps the
 // serialised shape (and the gob/JSON wire formats) unchanged. Layers
 // built elsewhere (hand-assembled, gob-decoded) may lack the flat
-// backing; every kernel path checks wm and falls back to the scalar
+// backing; the prediction paths check wm and fall back to the scalar
 // loops, so a non-repacked network is slower, never wrong.
 type layer struct {
 	W      [][]float64 `json:"w"`
 	B      []float64   `json:"b"`
 	Linear bool        `json:"linear"` // linear activation (output layer) vs sigmoid
-	// momentum state (not serialised)
-	dW [][]float64 `json:"-"`
-	dB []float64   `json:"-"`
+	// momentum state (not serialised): the bias steps and, flat like
+	// wf, the weight steps
+	dB  []float64
+	dwf []float64
 	// flat kernel storage (rebuilt by Repack, never serialised)
-	wf  []float64  // W backing, row-major, stride = inputs
-	dwf []float64  // dW backing
-	wm  *la.Matrix // wf viewed as units×inputs
+	wf []float64  // W backing, row-major, stride = inputs
+	wm *la.Matrix // wf viewed as units×inputs
 }
 
 // newLayer allocates a units×prev layer with flat-backed weight and
 // momentum storage and the kernel view over it.
 func newLayer(units, prev int, linear bool) layer {
-	return newLayerOver(make([]float64, units*prev), make([]float64, units*prev), units, prev, linear)
-}
-
-// newLayerOver builds a units×prev layer whose weight and momentum rows
-// alias the given flat backing slices (each len units*prev). Stacked
-// batch training passes slices of a shared multi-member array so all
-// members' first-layer weights form one contiguous matrix.
-func newLayerOver(wf, dwf []float64, units, prev int, linear bool) layer {
 	ly := layer{
 		W:      make([][]float64, units),
 		B:      make([]float64, units),
 		Linear: linear,
-		dW:     make([][]float64, units),
 		dB:     make([]float64, units),
-		wf:     wf,
-		dwf:    dwf,
+		wf:     make([]float64, units*prev),
+		dwf:    make([]float64, units*prev),
 	}
 	for j := range ly.W {
 		ly.W[j] = ly.wf[j*prev : (j+1)*prev]
-		ly.dW[j] = ly.dwf[j*prev : (j+1)*prev]
 	}
 	ly.wm, _ = la.NewMatrixFromFlat(units, prev, ly.wf)
 	return ly
@@ -169,15 +159,6 @@ func fitScaler(rows [][]float64) scaler {
 		}
 	}
 	return s
-}
-
-// clone deep-copies the scaler so networks sharing fitted ranges stay
-// independent.
-func (s scaler) clone() scaler {
-	return scaler{
-		Min: append([]float64(nil), s.Min...),
-		Max: append([]float64(nil), s.Max...),
-	}
 }
 
 func (s scaler) apply(x []float64) []float64 {
@@ -255,16 +236,19 @@ func (c Config) hiddenSizes(nIn, nOut int) []int {
 }
 
 // trainPad is the pooled per-trainer scratch: the normalised training
-// set, the instance order, and the per-layer activation and delta
-// buffers. Pooled via engine.Scratch so repeated fits (one per CV fold
-// unit) stop allocating once the pool is warm; every field is fully
-// rebuilt from the training set before use, so reuse cannot change
-// results.
+// set, the instance order, two per-layer activation sets and the delta
+// buffers. The fused trainer ping-pongs between the activation sets: a
+// layer's update reads one sample's activations while its forward pass
+// writes the next sample's. Pooled via engine.Scratch so repeated fits
+// (one per CV fold unit) stop allocating once the pool is warm; every
+// field is fully rebuilt from the training set before use, so reuse
+// cannot change results.
 type trainPad struct {
 	xFlat, yFlat []float64
 	xs, ys       [][]float64
 	order        []int
-	acts, deltas [][]float64
+	acts         [2][][]float64
+	deltas       [][]float64
 }
 
 var trainPadPool = engine.NewScratch(func() *trainPad { return &trainPad{} })
@@ -289,21 +273,21 @@ func (p *trainPad) instances(net *Network, inputs, targets [][]float64) {
 	}
 }
 
-// buffers (re)builds the per-layer activation and delta buffers for one
-// network shaped like net, scaled by stack (the number of members whose
-// activations share a buffer in stacked training; 1 for a single net).
-func (p *trainPad) buffers(net *Network, stack int) {
+// buffers (re)builds both activation sets and the delta buffers for a
+// network shaped like net. Entry 0 of an activation set is the input
+// row, which the trainer points at an instance instead of copying it;
+// entry l+1 holds layer l's outputs.
+func (p *trainPad) buffers(net *Network) {
 	want := len(net.Layers) + 1
-	if cap(p.acts) < want {
-		p.acts = make([][]float64, want)
-		p.deltas = make([][]float64, want)
+	for s := range p.acts {
+		p.acts[s] = growRows(p.acts[s], want)
+		for l, ly := range net.Layers {
+			p.acts[s][l+1] = engine.GrowFloats(p.acts[s][l+1], len(ly.W))
+		}
 	}
-	p.acts, p.deltas = p.acts[:want], p.deltas[:want]
-	p.acts[0] = engine.GrowFloats(p.acts[0], net.NIn)
-	p.deltas[0] = engine.GrowFloats(p.deltas[0], net.NIn)
+	p.deltas = growRows(p.deltas, want)
 	for l, ly := range net.Layers {
-		p.acts[l+1] = engine.GrowFloats(p.acts[l+1], stack*len(ly.W))
-		p.deltas[l+1] = engine.GrowFloats(p.deltas[l+1], stack*len(ly.W))
+		p.deltas[l+1] = engine.GrowFloats(p.deltas[l+1], len(ly.W))
 	}
 }
 
@@ -346,12 +330,15 @@ func newNetwork(inputs, targets [][]float64, hidden []int, rng *rand.Rand) *Netw
 // vector of instance i and targets[i] its numeric target vector (usually one
 // element). All instances must share the same arity.
 //
-// The trainer runs WEKA-style online back-propagation through the la
-// package's fused kernels (MulVecAddInto forward, MulVecTInto deltas,
-// MomentumAxpy updates) over pooled scratch: per-sample update order and
-// per-element accumulation order are exactly the original scalar loops',
-// so trained weights are bit-identical to them, and a warm trainer's
-// allocation count is independent of epochs and sample count.
+// The trainer runs WEKA-style online back-propagation: per sample, a
+// forward pass, the deltas from the weights before the update, then one
+// momentum step on every weight and bias. It walks the weights once per
+// sample: each unit's update is fused with the next sample's forward pass
+// through the updated row (layer.step). Every weight and activation sees
+// the same operations in the same order as with three separate phases, so
+// trained weights are bit-identical to them. All scratch is pooled, so a
+// warm trainer's allocation count is independent of epochs and sample
+// count.
 func Train(inputs, targets [][]float64, cfg Config) (*Network, error) {
 	if _, _, err := checkTrainingSet(inputs, targets); err != nil {
 		return nil, err
@@ -366,17 +353,35 @@ func Train(inputs, targets [][]float64, cfg Config) (*Network, error) {
 	pad := trainPadPool.Get()
 	defer trainPadPool.Put(pad)
 	pad.instances(net, inputs, targets)
-	pad.buffers(net, 1)
+	pad.buffers(net)
+	order := pad.order
+	shuffle := func() {
+		if cfg.Shuffle {
+			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		}
+	}
+	shuffle()
+	cur, nxt := pad.acts[0], pad.acts[1]
+	cur[0] = pad.xs[order[0]]
+	net.forward(cur)
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		lr := cfg.LearningRate
 		if cfg.Decay {
 			lr /= float64(epoch)
 		}
-		if cfg.Shuffle {
-			rng.Shuffle(len(pad.order), func(a, b int) { pad.order[a], pad.order[b] = pad.order[b], pad.order[a] })
-		}
-		for _, i := range pad.order {
-			net.backprop(pad.xs[i], pad.ys[i], lr, cfg.Momentum, pad.acts, pad.deltas)
+		for pos, i := range order {
+			net.deltas(cur, pad.ys[i], pad.deltas)
+			if pos == len(order)-1 && epoch < cfg.Epochs {
+				// The next epoch's shuffle may run before this update:
+				// updates never draw from rng, so the draws are the same.
+				shuffle()
+			}
+			// The next sample's input. After the very last sample this
+			// wraps to the first instance: that forward pass is discarded,
+			// and it leaves the weights exactly as a plain update would.
+			nxt[0] = pad.xs[order[(pos+1)%len(order)]]
+			net.step(cur, nxt, pad.deltas, lr, cfg.Momentum)
+			cur, nxt = nxt, cur
 		}
 	}
 	return net, nil
@@ -424,36 +429,20 @@ func applyLayer(ly *layer, in, out []float64) {
 // input.
 func (n *Network) forward(acts [][]float64) {
 	for l := range n.Layers {
-		n.Layers[l].forwardInto(acts[l], acts[l+1])
+		applyLayer(&n.Layers[l], acts[l], acts[l+1])
 	}
 }
 
-// forwardInto applies the layer to one input vector.
-func (ly *layer) forwardInto(in, out []float64) {
-	applyLayer(ly, in, out)
-}
-
-// backprop performs one online gradient step with momentum. The three
-// phases — forward, delta propagation, weight update — run on the la
-// kernels; the per-element accumulation chains match the original
-// scalar loops bit for bit (see the kernel parity tests in internal/la).
-func (n *Network) backprop(x, y []float64, lr, momentum float64, acts, deltas [][]float64) {
-	copy(acts[0], x)
-	n.forward(acts)
-
-	// Output layer deltas: linear units, squared error => delta = (t - o).
+// deltas computes one sample's back-propagation deltas from its
+// activations and the weights before the update: t − o for the linear
+// output units, o(1 − o)·Σ_k w_kj·δ_k for hidden units.
+func (n *Network) deltas(acts [][]float64, y []float64, dst [][]float64) {
 	last := len(n.Layers)
-	outAct := acts[last]
-	for j := range outAct {
-		deltas[last][j] = y[j] - outAct[j]
+	for j, o := range acts[last] {
+		dst[last][j] = y[j] - o
 	}
-	// Hidden layers: delta_j = o_j (1 - o_j) Σ_k w_kj delta_k.
 	for l := last - 1; l >= 1; l-- {
-		n.Layers[l].backpropDeltas(acts[l], deltas[l+1], deltas[l])
-	}
-	// Weight updates with momentum.
-	for l := range n.Layers {
-		n.Layers[l].update(acts[l], deltas[l+1], lr, momentum)
+		n.Layers[l].backpropDeltas(acts[l], dst[l+1], dst[l])
 	}
 }
 
@@ -464,32 +453,97 @@ func (n *Network) backprop(x, y []float64, lr, momentum float64, acts, deltas []
 // differs from the original `o·(1−o)·Σ` only by operand order of one
 // product, which IEEE-754 multiplication keeps bit-identical.
 func (ly *layer) backpropDeltas(act, dNext, dst []float64) {
-	if ly.wm != nil {
-		_ = ly.wm.MulVecTInto(dst, dNext)
-	} else {
-		for j := range dst {
-			s := 0.0
-			for k := range ly.W {
-				s += ly.W[k][j] * dNext[k]
-			}
-			dst[j] = s
-		}
-	}
+	_ = ly.wm.MulVecTInto(dst, dNext)
 	for j, a := range act {
 		dst[j] *= a * (1 - a)
 	}
 }
 
-// update applies one momentum gradient step to every unit's weights and
-// bias via the fused MomentumAxpy kernel.
-func (ly *layer) update(in, d []float64, lr, momentum float64) {
-	for j := range ly.W {
-		g := lr * d[j]
-		la.MomentumAxpy(ly.W[j], ly.dW[j], in, g, momentum)
-		upd := g + momentum*ly.dB[j]
-		ly.B[j] += upd
-		ly.dB[j] = upd
+// step applies one sample's momentum update to every layer and runs the
+// next sample's forward pass through the updated weights in the same
+// pass: cur holds the sample's activations, nxt[0] the next sample's
+// input, and nxt receives the next sample's activations.
+func (n *Network) step(cur, nxt, deltas [][]float64, lr, mu float64) {
+	for l := range n.Layers {
+		n.Layers[l].step(cur[l], nxt[l], deltas[l+1], nxt[l+1], lr, mu)
 	}
+}
+
+// step updates the layer for one sample with inputs in and deltas d, and
+// writes the forward pass of the next sample's inputs (next) into out.
+// For unit j, with g = lr·d_j, it runs k ascending
+//
+//	upd = g·in_k + mu·dw_jk;  w_jk += upd;  dw_jk = upd;  s += w_jk·next_k
+//
+// from s = B_j after the bias's own momentum step; once every unit has
+// its sum, a sigmoid layer activates them all, as applyLayer does. These
+// are the operations of a momentum update followed by applyLayer, in the
+// same order on the same operands, so weights and activations are
+// bit-identical to the two separate passes. Four units share each pass
+// over k: their add chains are independent, so they overlap instead of
+// each waiting on the one before. Leftover units (and the one-unit output
+// layer) take the single-row form of the same loop.
+func (ly *layer) step(in, next, d, out []float64, lr, mu float64) {
+	n := len(in)
+	next = next[:n]
+	units := len(ly.B)
+	j := 0
+	for ; j+4 <= units; j += 4 {
+		g0, g1, g2, g3 := lr*d[j], lr*d[j+1], lr*d[j+2], lr*d[j+3]
+		s0, s1 := ly.stepBias(j, g0, mu), ly.stepBias(j+1, g1, mu)
+		s2, s3 := ly.stepBias(j+2, g2, mu), ly.stepBias(j+3, g3, mu)
+		w0, dw0 := ly.row(j, n)
+		w1, dw1 := ly.row(j+1, n)
+		w2, dw2 := ly.row(j+2, n)
+		w3, dw3 := ly.row(j+3, n)
+		for k, x := range in {
+			xn := next[k]
+			u0 := g0*x + mu*dw0[k]
+			u1 := g1*x + mu*dw1[k]
+			u2 := g2*x + mu*dw2[k]
+			u3 := g3*x + mu*dw3[k]
+			v0, v1, v2, v3 := w0[k]+u0, w1[k]+u1, w2[k]+u2, w3[k]+u3
+			w0[k], w1[k], w2[k], w3[k] = v0, v1, v2, v3
+			dw0[k], dw1[k], dw2[k], dw3[k] = u0, u1, u2, u3
+			s0 += v0 * xn
+			s1 += v1 * xn
+			s2 += v2 * xn
+			s3 += v3 * xn
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < units; j++ {
+		g := lr * d[j]
+		s := ly.stepBias(j, g, mu)
+		w, dw := ly.row(j, n)
+		for k, x := range in {
+			u := g*x + mu*dw[k]
+			v := w[k] + u
+			w[k], dw[k] = v, u
+			s += v * next[k]
+		}
+		out[j] = s
+	}
+	if !ly.Linear {
+		for j, s := range out {
+			out[j] = sigmoid(s)
+		}
+	}
+}
+
+// row returns unit j's weight and momentum rows (n wide) from the flat
+// storage.
+func (ly *layer) row(j, n int) (w, dw []float64) {
+	return ly.wf[j*n : (j+1)*n : (j+1)*n], ly.dwf[j*n : (j+1)*n : (j+1)*n]
+}
+
+// stepBias applies unit j's momentum step to its bias and returns the
+// updated bias, which seeds the unit's next forward sum.
+func (ly *layer) stepBias(j int, g, mu float64) float64 {
+	upd := g + mu*ly.dB[j]
+	ly.B[j] += upd
+	ly.dB[j] = upd
+	return ly.B[j]
 }
 
 // Forward is reusable forward-pass scratch for one network topology. A
@@ -606,7 +660,7 @@ func (n *Network) Repack() error {
 			copy(fresh.W[j], w)
 		}
 		fresh.B = ly.B
-		ly.W, ly.dW, ly.dB = fresh.W, fresh.dW, fresh.dB
+		ly.W, ly.dB = fresh.W, fresh.dB
 		ly.wf, ly.dwf, ly.wm = fresh.wf, fresh.dwf, fresh.wm
 	}
 	return nil

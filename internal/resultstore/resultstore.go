@@ -169,9 +169,10 @@ func ReadEntryKey(blob []byte) (Key, []byte, error) {
 	if err := binary.Read(r, binary.LittleEndian, &keyLen); err != nil {
 		return Key{}, nil, fmt.Errorf("resultstore: reading key length: %w", err)
 	}
-	const maxEntry = 1 << 30
-	if int64(keyLen) > maxEntry {
-		return Key{}, nil, fmt.Errorf("resultstore: key of %d bytes exceeds the %d limit", keyLen, maxEntry)
+	// Lengths come from the (possibly hostile) header: check them against
+	// the bytes actually left before allocating anything.
+	if int64(keyLen) > int64(r.Len()) {
+		return Key{}, nil, fmt.Errorf("resultstore: truncated key: header claims %d bytes, %d remain", keyLen, r.Len())
 	}
 	keyJSON := make([]byte, keyLen)
 	if _, err := io.ReadFull(r, keyJSON); err != nil {
@@ -181,8 +182,8 @@ func ReadEntryKey(blob []byte) (Key, []byte, error) {
 	if err := binary.Read(r, binary.LittleEndian, &payLen); err != nil {
 		return Key{}, nil, fmt.Errorf("resultstore: reading payload length: %w", err)
 	}
-	if payLen > maxEntry {
-		return Key{}, nil, fmt.Errorf("resultstore: payload of %d bytes exceeds the %d limit", payLen, maxEntry)
+	if payLen > uint64(r.Len()) {
+		return Key{}, nil, fmt.Errorf("resultstore: truncated payload: header claims %d bytes, %d remain", payLen, r.Len())
 	}
 	payload := make([]byte, payLen)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -16,6 +16,10 @@
 set -euo pipefail
 
 MAX_REGRESS=${MAX_REGRESS:-10}
+# The baseline snapshot was recorded at GOMAXPROCS 1. Pooled scratch is
+# allocated once per worker, so more cores add allocations that are not
+# regressions; run at the baseline's setting so allocs/op compare.
+export GOMAXPROCS=1
 cd "$(dirname "$0")/.."
 
 # The newest committed snapshot is the baseline (names sort by date).
@@ -34,7 +38,7 @@ trap 'rm -f "$new"' EXIT
 # is filtered to the report benchmarks on purpose — the HTTP rank-serving
 # benches measure real sockets, whose single-shot alloc counts are not
 # gate-stable. Serving throughput has its own gate (the loadtest smoke).
-echo "bench-gate: running fit-path and report-path benchmarks"
+echo "bench-gate: running fit-path and report-path benchmarks at GOMAXPROCS=$GOMAXPROCS"
 { go test -bench=. -benchmem -benchtime=1x -run='^$' \
     . ./internal/la ./internal/mlp ./internal/spline ./internal/ga \
     ./internal/knn ./internal/cluster ./internal/perfmodel \
