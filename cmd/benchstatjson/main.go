@@ -126,6 +126,11 @@ func parse(r io.Reader) (*Snapshot, error) {
 			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case endsPackage(line):
+			// Results printed after a package's run (e.g. `dtrank
+			// loadtest` lines appended to the stream) belong to no
+			// package, not to the last one tested.
+			pkg = ""
 		case strings.HasPrefix(line, "Benchmark"):
 			res, ok := parseBenchLine(line)
 			if ok {
@@ -141,6 +146,14 @@ func parse(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("no benchmark result lines found on stdin")
 	}
 	return snap, nil
+}
+
+// endsPackage reports whether line is the status line that closes one
+// package's `go test` output: "PASS", "FAIL", "ok <pkg> <time>" or
+// "FAIL <pkg> <time>".
+func endsPackage(line string) bool {
+	f := strings.Fields(line)
+	return len(f) > 0 && (f[0] == "ok" || f[0] == "PASS" || f[0] == "FAIL")
 }
 
 // parseBenchLine parses one result line, e.g.

@@ -54,6 +54,32 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseClearsPackageAtStatusLine pins package attribution: a result
+// printed after a package's closing status line (the loadtest smoke
+// appends `dtrank loadtest` lines after `go test` output) carries no
+// package rather than the last one tested.
+func TestParseClearsPackageAtStatusLine(t *testing.T) {
+	for _, status := range []string{"PASS", "FAIL", "ok  \trepro/internal/spline\t0.412s", "FAIL\trepro/internal/spline\t0.412s"} {
+		out := "pkg: repro/internal/spline\n" +
+			"BenchmarkFit-8 \t 10\t 1000 ns/op\n" +
+			status + "\n" +
+			"BenchmarkLoadtest/overall \t 1842\t 271342 ns/op\t 612.4 qps\n"
+		snap, err := parse(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Results) != 2 {
+			t.Fatalf("%q: %d results, want 2", status, len(snap.Results))
+		}
+		if got := snap.Results[0].Pkg; got != "repro/internal/spline" {
+			t.Fatalf("%q: spline result pkg %q", status, got)
+		}
+		if got := snap.Results[1].Pkg; got != "" {
+			t.Fatalf("%q: loadtest result after the status line has pkg %q, want none", status, got)
+		}
+	}
+}
+
 // TestParseCustomMetrics covers the "<value> <unit>" pairs beyond
 // -benchmem: b.ReportMetric output and `dtrank loadtest` entries.
 func TestParseCustomMetrics(t *testing.T) {

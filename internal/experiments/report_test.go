@@ -142,3 +142,35 @@ func BenchmarkRunReport(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunSpecsWarm is the in-process half of the spec-batch
+// workload's warm run (`dtrank run -spec all -fast -draws 2 -maxk 3
+// -cache dir` over a filled store): every iteration opens the directory
+// store afresh, synthesises the dataset, reads all 194 units back from
+// disk and renders every spec, computing nothing. The store is filled
+// once, untimed.
+func BenchmarkRunSpecsWarm(b *testing.B) {
+	dir := b.TempDir()
+	render := func() (string, resultstore.Stats) {
+		st, err := resultstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := fastConfig()
+		cfg.Store = st
+		var out bytes.Buffer
+		if err := RunSpecs(cfg, &out, SpecIDs()...); err != nil {
+			b.Fatal(err)
+		}
+		return out.String(), st.Stats()
+	}
+	cold, _ := render()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warm, stats := render()
+		if stats.Puts != 0 || stats.Misses != 0 || warm != cold {
+			b.Fatalf("warm render computed %d units (%d misses) or differs from the cold one", stats.Puts, stats.Misses)
+		}
+	}
+}

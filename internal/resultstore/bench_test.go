@@ -35,8 +35,8 @@ func benchValue() []benchFold {
 	return folds
 }
 
-// BenchmarkUnitRoundTrip measures the per-unit store overhead — gob
-// encode + CRC-framed persist on Put, backend read + CRC verify + gob
+// BenchmarkUnitRoundTrip measures the per-unit store overhead — codec
+// encode + CRC-framed persist on Put, backend read + CRC verify + codec
 // decode on Get — for each backend. The reader is a separate store
 // instance so Gets exercise the backend, not the in-memory cache; mem is
 // the cache-hit floor.

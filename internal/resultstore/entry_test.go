@@ -3,24 +3,26 @@ package resultstore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"hash/crc32"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// validEntry frames a small gob payload for testKey("table3").
+// validEntry frames a small codec payload for testKey("table3").
 func validEntry(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload{Name: "x", Values: []float64{1, 2}}); err != nil {
+	pay, err := marshal(payload{Name: "x", Values: []float64{1, 2}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := EncodeEntry(testKey("table3"), buf.Bytes())
+	entry, err := EncodeEntry(testKey("table3"), pay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +124,39 @@ func reseal(blob []byte) []byte {
 	out := append([]byte(nil), blob...)
 	binary.LittleEndian.PutUint32(out[len(out)-4:], crc.Sum32())
 	return out
+}
+
+// readSeed returns the bytes of one committed fuzz seed.
+func readSeed(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s/%s: not a one-value fuzz seed", target, name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s/%s: %v", target, name, err)
+	}
+	return []byte(s)
+}
+
+// TestEntrySeedsMatchFormat keeps the FuzzReadEntryKey corpus on the
+// current entry format: its valid seed is exactly validEntry, and its
+// wrong-version seed is that entry stamped with the previous version.
+func TestEntrySeedsMatchFormat(t *testing.T) {
+	valid := validEntry(t)
+	if got := readSeed(t, "FuzzReadEntryKey", "valid"); !bytes.Equal(got, valid) {
+		t.Fatal("seed valid is not the current validEntry: regenerate the FuzzReadEntryKey corpus")
+	}
+	old := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint16(old[len(entryMagic):], entryVersion-1)
+	if got := readSeed(t, "FuzzReadEntryKey", "wrong-version"); !bytes.Equal(got, old) {
+		t.Fatal("seed wrong-version is not validEntry at the previous version")
+	}
 }
 
 // FuzzReadEntryKey checks the entry codec on arbitrary bytes: reading

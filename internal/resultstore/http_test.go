@@ -2,7 +2,7 @@ package resultstore
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -124,11 +124,11 @@ func TestHTTPServerRejectsCorruptPut(t *testing.T) {
 	ts, h := storeServer(t, dir)
 	key := testKey("table3")
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload{Name: "x"}); err != nil {
+	pay, err := marshal(payload{Name: "x"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := EncodeEntry(key, buf.Bytes())
+	entry, err := EncodeEntry(key, pay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,13 @@ func TestHTTPServerRejectsCorruptPut(t *testing.T) {
 	if code := put("..%2F..%2Fetc", entry); code != http.StatusBadRequest {
 		t.Fatalf("traversal PUT = %d", code)
 	}
-	if st := h.Stats(); st.Rejected != 5 || st.Puts != 0 {
+	// A client of the previous entry format is refused.
+	old := append([]byte(nil), entry...)
+	binary.LittleEndian.PutUint16(old[len(entryMagic):], entryVersion-1)
+	if code := put(key.Stem(), old); code != http.StatusBadRequest {
+		t.Fatalf("previous-version PUT = %d", code)
+	}
+	if st := h.Stats(); st.Rejected != 6 || st.Puts != 0 {
 		t.Fatalf("handler stats %+v", st)
 	}
 	if entries, err := ScanDir(dir); err != nil || len(entries) != 0 {

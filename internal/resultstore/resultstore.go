@@ -20,6 +20,9 @@
 //
 // Every backend carries the same in-memory byte cache in front, and every
 // persisted entry travels in the same framed wire format (EncodeEntry).
+// Result values are encoded by the package's own binary codec (see
+// codec.go): floats keep their exact bits, and a payload names the shape
+// of the type it was written for, so it never decodes into another.
 // Damaged entries — truncated blobs, checksum mismatches, entries whose
 // recorded key does not match the requested one (a stale or foreign blob
 // under a colliding name) — are treated as misses and recomputed, never
@@ -37,7 +40,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -109,7 +111,7 @@ func validStem(s string) bool {
 //	keyLen  uint32   length of the JSON-encoded key
 //	key     []byte   the unit's full Key, for verification on read
 //	payLen  uint64   payload length in bytes
-//	payload []byte   gob-encoded result value
+//	payload []byte   the codec-encoded result value
 //	crc     uint32   IEEE CRC-32 of key + payload
 //
 // The embedded key makes serving a wrong entry impossible even under file
@@ -118,13 +120,13 @@ func validStem(s string) bool {
 // whose recorded key does not hash to the requested stem.
 const (
 	entryMagic   = "DTRKRSLT"
-	entryVersion = 1
+	entryVersion = 2
 )
 
 // entryExt is the file extension of persisted entries.
 const entryExt = ".dtr"
 
-// EncodeEntry frames a gob payload as one wire entry for key.
+// EncodeEntry frames a codec payload as one wire entry for key.
 func EncodeEntry(key Key, payload []byte) ([]byte, error) {
 	keyJSON, err := json.Marshal(key)
 	if err != nil {
@@ -146,7 +148,7 @@ func EncodeEntry(key Key, payload []byte) ([]byte, error) {
 }
 
 // ReadEntryKey verifies an entry's framing (magic, version, lengths,
-// checksum) and returns the embedded key and gob payload. It does not
+// checksum) and returns the embedded key and payload. It does not
 // check the key against any expectation — use DecodeEntry when serving a
 // specific requested key.
 func ReadEntryKey(blob []byte) (Key, []byte, error) {
@@ -207,7 +209,7 @@ func ReadEntryKey(blob []byte) (Key, []byte, error) {
 }
 
 // DecodeEntry verifies one wire entry against the requested key and
-// returns its gob payload. Any damaged, foreign, version-skewed or
+// returns its payload. Any damaged, foreign, version-skewed or
 // key-mismatched blob is an error — callers treat it as a recomputable
 // miss.
 func DecodeEntry(key Key, blob []byte) ([]byte, error) {
@@ -238,18 +240,20 @@ type Stats struct {
 }
 
 // Store is a concurrency-safe unit-result store: the merge point of the
-// experiment pipeline. Get and Put move gob-encoded values; Stats reports
+// experiment pipeline. Get and Put move codec-encoded values; Stats reports
 // traffic counters; Location names the backing ("" for memory-only, a
 // directory path, or a remote URL).
 type Store interface {
-	// Get looks key up and, when found, gob-decodes the stored result
-	// into v (a pointer to the type that was Put). Damaged or stale
-	// backend entries count as misses and are never decoded into v.
+	// Get looks key up and, when found, decodes the stored result into v
+	// (a pointer to the type that was Put). Damaged or stale backend
+	// entries, and entries written for another shape, count as misses and
+	// are never decoded into v.
 	Get(key Key, v any) (bool, error)
-	// Put stores v under key (gob-encoded), persisting it when the store
-	// has a backend. When out is non-nil the canonical stored bytes are
-	// decoded back into it, so the caller continues with exactly the
-	// value a later warm run will read.
+	// Put stores v under key, persisting it when the store has a
+	// backend; a v the codec cannot encode is an error naming its type.
+	// When out is non-nil the canonical stored bytes are decoded back
+	// into it, so the caller continues with exactly the value a later
+	// warm run will read.
 	Put(key Key, v, out any) error
 	// Stats returns a counter snapshot.
 	Stats() Stats
@@ -359,11 +363,11 @@ func (s *cache) Get(key Key, v any) (bool, error) {
 		s.misses.Add(1)
 		return false, nil
 	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(v); err != nil {
+	if err := unmarshal(blob, v); err != nil {
 		if fromBackend {
-			// The framing verified but the payload schema did not (e.g. a
-			// result type changed without an entryVersion bump): treat it
-			// like any other damaged entry and recompute.
+			// The framing verified but the payload did not (e.g. a result
+			// type changed shape, or a client uploaded a hostile payload):
+			// treat it like any other damaged entry and recompute.
 			s.corrupt.Add(1)
 			s.misses.Add(1)
 			return false, nil
@@ -381,11 +385,10 @@ func (s *cache) Get(key Key, v any) (bool, error) {
 
 // Put implements Store.
 func (s *cache) Put(key Key, v, out any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+	blob, err := marshal(v)
+	if err != nil {
 		return fmt.Errorf("resultstore: encoding %s/%s/%s result: %w", key.Spec, key.Method, key.Split, err)
 	}
-	blob := payload.Bytes()
 	s.mu.Lock()
 	s.mem[key] = blob
 	s.mu.Unlock()
@@ -400,7 +403,7 @@ func (s *cache) Put(key Key, v, out any) error {
 		}
 	}
 	if out != nil {
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(out); err != nil {
+		if err := unmarshal(blob, out); err != nil {
 			return fmt.Errorf("resultstore: round-tripping %s/%s/%s result: %w", key.Spec, key.Method, key.Split, err)
 		}
 	}

@@ -1,8 +1,6 @@
 package resultstore
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -287,29 +285,6 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGobStabilityAcrossEncoders pins the property the byte-identical
-// cold/warm guarantee rests on: decoding an encoded value yields the
-// exact float bit patterns that went in.
-func TestGobStabilityAcrossEncoders(t *testing.T) {
-	in := []float64{0, math.Copysign(0, -1), 1e-308, math.NaN(), math.Inf(-1), 0.1 + 0.2}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out []float64
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("%d values", len(out))
-	}
-	for i := range in {
-		if math.Float64bits(out[i]) != math.Float64bits(in[i]) {
-			t.Fatalf("value %d: %x != %x", i, math.Float64bits(out[i]), math.Float64bits(in[i]))
-		}
-	}
-}
-
 // TestBudgetSeparatesKeys pins the budget dimension: entries stored
 // under one training-budget regime are invisible to the other.
 func TestBudgetSeparatesKeys(t *testing.T) {
@@ -326,7 +301,7 @@ func TestBudgetSeparatesKeys(t *testing.T) {
 }
 
 // TestUndecodablePayloadFromDiskIsMiss covers schema skew the framing
-// cannot see: a CRC-valid entry whose gob payload no longer decodes into
+// cannot see: a CRC-valid entry whose payload no longer decodes into
 // the requested type must be a recomputable miss, not a run failure.
 func TestUndecodablePayloadFromDiskIsMiss(t *testing.T) {
 	dir := t.TempDir()

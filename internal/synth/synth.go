@@ -143,16 +143,25 @@ func generate(roster []machine.Config, table *mica.Table, opts Options) (*Data, 
 	if err != nil {
 		return nil, err
 	}
+	ref := machine.Reference()
 	for b, name := range names {
 		w, err := table.Get(name)
 		if err != nil {
 			return nil, err
 		}
+		// perfmodel.SPECRatio per cell, with the reference machine's rate
+		// computed once per workload: the same calls and the same
+		// division, so the scores are bit-identical.
+		refRate, err := perfmodel.InstructionRate(ref, w)
+		if err != nil {
+			return nil, fmt.Errorf("synth: %s on the reference machine: %w", name, err)
+		}
 		for m, c := range roster {
-			score, err := perfmodel.SPECRatio(c, w)
+			mRate, err := perfmodel.InstructionRate(c, w)
 			if err != nil {
 				return nil, fmt.Errorf("synth: %s on %s: %w", name, c.ID, err)
 			}
+			score := mRate / refRate
 			if opts.ScoreNoise > 0 {
 				score *= math.Exp(rng.NormFloat64() * opts.ScoreNoise)
 			}

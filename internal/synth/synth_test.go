@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mica"
+	"repro/internal/perfmodel"
 	"repro/internal/stats"
 )
 
@@ -221,6 +222,35 @@ func TestCharacteristicsNearGroundTruth(t *testing.T) {
 			}
 			if rel := math.Abs(got[j]/truth[j] - 1); rel > 0.15 {
 				t.Fatalf("%s dim %d: relative error %v too large", name, j, rel)
+			}
+		}
+	}
+}
+
+// TestGenerateMatchesSPECRatio pins the hoisted reference rate: without
+// score noise every cell is exactly perfmodel.SPECRatio of its machine
+// and workload.
+func TestGenerateMatchesSPECRatio(t *testing.T) {
+	d, err := Generate(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster, err := machine.Roster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, name := range d.Matrix.Benchmarks {
+		w, err := d.Workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m, c := range roster {
+			want, err := perfmodel.SPECRatio(c, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Matrix.At(b, m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s on %s: %v, SPECRatio %v", name, c.ID, got, want)
 			}
 		}
 	}
