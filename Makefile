@@ -8,9 +8,11 @@ DATE ?= $(shell date +%Y-%m-%d)
 
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test -race -timeout 30m ./...
+	$(GO) test -tags purego ./internal/mlp ./internal/transpose
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...

@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/experiments"
+	"repro/internal/method"
 	"repro/internal/synth"
 	"repro/internal/transpose"
 )
@@ -229,6 +230,58 @@ func BenchmarkGAKNNFold(b *testing.B) {
 		if _, err := repro.NewGAKNN(int64(i)).PredictApp(fold); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// servedFolds builds the folds a cold dtrankd fits: every family of the
+// seed-1 dataset as the targets, with two applications each, rotating
+// through the benchmarks so the 34 folds cover all of them.
+func servedFolds(b *testing.B) []transpose.Fold {
+	b.Helper()
+	data, err := repro.Generate(repro.DefaultDatasetOptions(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	apps := data.Matrix.Benchmarks
+	var folds []transpose.Fold
+	for i, family := range data.Matrix.Families() {
+		targets, predictive, err := data.Matrix.FamilySplit(family)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, app := range []string{apps[(2*i)%len(apps)], apps[(2*i+1)%len(apps)]} {
+			fold, _, err := repro.NewFold(predictive, targets, app, data.Characteristics)
+			if err != nil {
+				b.Fatal(err)
+			}
+			folds = append(folds, fold)
+		}
+	}
+	return folds
+}
+
+// BenchmarkServedFits fits the served mix of folds once per op, each
+// through the method registry at dtrankd's default seed, so the numbers
+// are those of rank-cold's fits: most families leave 3 targets and 114
+// predictive machines, unlike the Intel Xeon fold of BenchmarkMLPTFold
+// and BenchmarkGAKNNFold. ns/fit is the mean cost of one fit.
+func BenchmarkServedFits(b *testing.B) {
+	folds := servedFolds(b)
+	for _, name := range []string{"mlpt", "gaknn"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, fold := range folds {
+					p, _, err := method.New(name, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := p.(transpose.Fitter).Fit(fold); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(folds)), "ns/fit")
+		})
 	}
 }
 

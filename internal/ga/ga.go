@@ -14,7 +14,9 @@ import (
 	"repro/internal/engine"
 )
 
-// Fitness scores a genome; the GA MINIMISES this value.
+// Fitness scores a genome; the GA MINIMISES this value. It must be a
+// pure function of the genome: Run reuses the score of an elite, and of
+// a parent for a child equal to it bit for bit, instead of calling it.
 type Fitness func(genome []float64) float64
 
 // Config controls the evolutionary run.
@@ -95,19 +97,28 @@ func (c Config) validate() error {
 	if c.Pop < 2 {
 		return fmt.Errorf("ga: population %d must be >= 2", c.Pop)
 	}
+	if c.Generations < 1 {
+		return fmt.Errorf("ga: generations %d must be >= 1", c.Generations)
+	}
+	if math.IsInf(c.Hi-c.Lo, 0) || math.IsNaN(c.Hi-c.Lo) {
+		return fmt.Errorf("ga: gene range [%v, %v] must be finite", c.Lo, c.Hi)
+	}
 	if c.Hi <= c.Lo {
 		return fmt.Errorf("ga: gene range [%v, %v] is empty", c.Lo, c.Hi)
 	}
-	if c.Elite >= c.Pop {
-		return fmt.Errorf("ga: elite %d must be < population %d", c.Elite, c.Pop)
+	if c.Elite < 0 || c.Elite >= c.Pop {
+		return fmt.Errorf("ga: elite %d out of [0, %d)", c.Elite, c.Pop)
+	}
+	if c.Patience < 0 {
+		return fmt.Errorf("ga: patience %d must be >= 0", c.Patience)
 	}
 	if c.TournamentK < 1 || c.TournamentK > c.Pop {
 		return fmt.Errorf("ga: tournament size %d out of [1, %d]", c.TournamentK, c.Pop)
 	}
-	if c.CrossoverRate < 0 || c.CrossoverRate > 1 {
+	if !(c.CrossoverRate >= 0 && c.CrossoverRate <= 1) {
 		return fmt.Errorf("ga: crossover rate %v out of [0, 1]", c.CrossoverRate)
 	}
-	if c.MutationRate < 0 || c.MutationRate > 1 {
+	if !(c.MutationRate >= 0 && c.MutationRate <= 1) {
 		return fmt.Errorf("ga: mutation rate %v out of [0, 1]", c.MutationRate)
 	}
 	return nil
@@ -128,6 +139,9 @@ type Result struct {
 type individual struct {
 	genome  []float64
 	fitness float64
+	// known reports that fitness already holds fit(genome), so evaluate
+	// skips the individual.
+	known bool
 }
 
 // newPopulation allocates cfg.Pop individuals whose genomes slice one
@@ -151,6 +165,9 @@ func newPopulation(cfg Config) []individual {
 // fixed draw order (selection, crossover decision, blend, mutation —
 // identical to the original per-candidate-allocation loop), so results
 // are bit-for-bit reproducible and independent of the buffer reuse.
+// Elites and children that come out bit for bit equal to a parent keep
+// that individual's fitness instead of calling fit again; the draws do
+// not depend on it, so results are those of evaluating every child.
 func Run(fit Fitness, cfg Config) (*Result, error) {
 	if fit == nil {
 		return nil, errors.New("ga: nil fitness function")
@@ -185,7 +202,7 @@ func Run(fit Fitness, cfg Config) (*Result, error) {
 		n := 0
 		for ; n < cfg.Elite; n++ {
 			copy(next[n].genome, pop[n].genome)
-			next[n].fitness = pop[n].fitness
+			next[n].fitness, next[n].known = pop[n].fitness, true
 		}
 		for n < cfg.Pop {
 			p1 := tournament(pop, cfg.TournamentK, rng)
@@ -202,6 +219,10 @@ func Run(fit Fitness, cfg Config) (*Result, error) {
 			}
 			mutate(c1, cfg, rng)
 			mutate(c2, cfg, rng)
+			next[n].fitness, next[n].known = inherit(c1, p1, p2)
+			if n+1 < cfg.Pop {
+				next[n+1].fitness, next[n+1].known = inherit(c2, p1, p2)
+			}
 			n += 2
 		}
 		pop, next = next, pop
@@ -225,27 +246,55 @@ func Run(fit Fitness, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// inherit returns the fitness of the parent that child equals bit for
+// bit, and whether there is one. Fitness is a pure function of the
+// genome, so the parent's value is the one evaluate would compute.
+func inherit(child []float64, p1, p2 *individual) (float64, bool) {
+	if sameBits(child, p1.genome) {
+		return p1.fitness, true
+	}
+	if sameBits(child, p2.genome) {
+		return p2.fitness, true
+	}
+	return 0, false
+}
+
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// evaluate computes the fitness of every individual that does not
+// already know it.
 func evaluate(pop []individual, fit Fitness, cfg Config) {
 	if !cfg.Parallel {
 		for i := range pop {
-			f := fit(pop[i].genome)
-			if math.IsNaN(f) {
-				f = math.Inf(1)
-			}
-			pop[i].fitness = f
+			pop[i].evaluate(fit)
 		}
 		return
 	}
 	// The engine pool bounds the fan-out to the process-wide worker
 	// budget instead of spawning one goroutine per individual.
 	_ = cfg.Pool.Map(len(pop), func(i int) error {
-		f := fit(pop[i].genome)
-		if math.IsNaN(f) {
-			f = math.Inf(1)
-		}
-		pop[i].fitness = f
+		pop[i].evaluate(fit)
 		return nil
 	})
+}
+
+func (ind *individual) evaluate(fit Fitness) {
+	if ind.known {
+		return
+	}
+	f := fit(ind.genome)
+	if math.IsNaN(f) {
+		f = math.Inf(1)
+	}
+	ind.fitness, ind.known = f, true
 }
 
 // sortByFitness orders the population best-first. Stable sorts are
@@ -264,10 +313,10 @@ func sortByFitness(pop []individual) {
 	})
 }
 
-func tournament(pop []individual, k int, rng *rand.Rand) individual {
-	best := pop[rng.Intn(len(pop))]
+func tournament(pop []individual, k int, rng *rand.Rand) *individual {
+	best := &pop[rng.Intn(len(pop))]
 	for i := 1; i < k; i++ {
-		c := pop[rng.Intn(len(pop))]
+		c := &pop[rng.Intn(len(pop))]
 		if c.fitness < best.fitness {
 			best = c
 		}

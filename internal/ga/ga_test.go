@@ -1,7 +1,11 @@
 package ga
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -255,5 +259,136 @@ func TestRunAllocsIndependentOfGenerations(t *testing.T) {
 	// slack but nothing per-generation.
 	if long > short+1 {
 		t.Fatalf("Run allocations grew with generations: %.1f at 3, %.1f at 30", short, long)
+	}
+}
+
+// TestRunRejectsBadConfig covers configurations that used to panic
+// (negative Generations: makeslice), return NaN or Inf genomes
+// (non-finite bounds) or run with meaningless settings (negative Elite
+// or Patience, NaN rates).
+func TestRunRejectsBadConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative generations", Config{Genes: 2, Generations: -1}},
+		{"NaN lo", Config{Genes: 2, Lo: nan, Hi: 1}},
+		{"NaN hi", Config{Genes: 2, Lo: 0, Hi: nan}},
+		{"+Inf hi", Config{Genes: 2, Lo: 0, Hi: inf}},
+		{"-Inf lo", Config{Genes: 2, Lo: -inf, Hi: 1}},
+		{"range overflows", Config{Genes: 2, Lo: -math.MaxFloat64, Hi: math.MaxFloat64}},
+		{"negative elite", Config{Genes: 2, Elite: -1}},
+		{"negative patience", Config{Genes: 2, Patience: -3}},
+		{"NaN crossover rate", Config{Genes: 2, CrossoverRate: nan}},
+		{"NaN mutation rate", Config{Genes: 2, MutationRate: nan}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(sphere, tc.cfg)
+			if err == nil {
+				t.Fatalf("accepted %+v, best %v", tc.cfg, res.Best)
+			}
+		})
+	}
+}
+
+// TestRunReusesKnownFitness counts fitness calls: elites and children
+// that come out bit for bit equal to a parent keep their known fitness,
+// so no genome is ever evaluated twice, serial or parallel.
+func TestRunReusesKnownFitness(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		var mu sync.Mutex
+		seen := map[string]int{}
+		calls := 0
+		fit := func(g []float64) float64 {
+			key := make([]byte, 0, 8*len(g))
+			for _, v := range g {
+				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+			}
+			mu.Lock()
+			seen[string(key)]++
+			calls++
+			mu.Unlock()
+			return sphere(g)
+		}
+		cfg := Config{Genes: 4, Pop: 21, Generations: 30, Seed: 3, Parallel: parallel, Pool: engine.New(4)}
+		res, err := Run(fit, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, n := range seen {
+			if n > 1 {
+				t.Fatalf("parallel=%v: genome %x evaluated %d times", parallel, key, n)
+			}
+		}
+		// Every generation keeps its two elites without a call.
+		if most := cfg.Pop + res.Generations*(cfg.Pop-2); calls > most {
+			t.Fatalf("parallel=%v: %d fitness calls, want <= %d", parallel, calls, most)
+		}
+	}
+}
+
+func goldenFit(g []float64) float64 {
+	s := 0.0
+	for j, x := range g {
+		d := x - 0.3*float64(j%3)
+		s += d*d + 0.05*(1-math.Cos(20*math.Pi*d))
+	}
+	return s
+}
+
+// runDigest hashes every bit of a result: Best, BestFitness, History
+// and Generations.
+func runDigest(r *Result) string {
+	h := sha256.New()
+	put := func(v uint64) { _ = binary.Write(h, binary.LittleEndian, v) }
+	for _, v := range r.Best {
+		put(math.Float64bits(v))
+	}
+	put(math.Float64bits(r.BestFitness))
+	for _, v := range r.History {
+		put(math.Float64bits(v))
+	}
+	put(uint64(r.Generations))
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+}
+
+// TestRunMatchesParent pins Run to results recorded before fitness
+// reuse: skipping the evaluation of elites and unchanged children must
+// not change one bit, on the serial or the parallel path. The runs
+// early-stop at different generations and the odd population size
+// exercises the discarded spare child.
+func TestRunMatchesParent(t *testing.T) {
+	for _, g := range []struct {
+		parallel    bool
+		seed        int64
+		generations int
+		bestBits    uint64
+		digest      string
+	}{
+		{false, 1, 25, 0x3fa79df985708655, "5185997238fec3288439a8ac"},
+		{false, 2, 34, 0x3fb1c0b215e89e06, "8add3c7092c7a76c275fd8d9"},
+		{false, 3, 33, 0x3fa6f970d71f01b3, "95e2fd9bef32131c8cb842c5"},
+		{false, 4, 37, 0x3fa4bd268b9b1e9b, "0b74f21c54b8126a9efc4b85"},
+		{false, 5, 20, 0x3fac0ca0b3cc7e63, "7d6312c66c385a1fa8d4a5da"},
+		{true, 1, 25, 0x3fa79df985708655, "5185997238fec3288439a8ac"},
+		{true, 2, 34, 0x3fb1c0b215e89e06, "8add3c7092c7a76c275fd8d9"},
+		{true, 3, 33, 0x3fa6f970d71f01b3, "95e2fd9bef32131c8cb842c5"},
+		{true, 4, 37, 0x3fa4bd268b9b1e9b, "0b74f21c54b8126a9efc4b85"},
+		{true, 5, 20, 0x3fac0ca0b3cc7e63, "7d6312c66c385a1fa8d4a5da"},
+	} {
+		cfg := Config{Genes: 6, Pop: 21, Generations: 60, Lo: -1, Hi: 2, Patience: 6, Seed: g.seed, Parallel: g.parallel}
+		if g.parallel {
+			cfg.Pool = engine.New(4)
+		}
+		r, err := Run(goldenFit, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Generations != g.generations || math.Float64bits(r.BestFitness) != g.bestBits || runDigest(r) != g.digest {
+			t.Fatalf("parallel=%v seed=%d: %d generations, best %#x, digest %s; want %d, %#x, %s",
+				g.parallel, g.seed, r.Generations, math.Float64bits(r.BestFitness), runDigest(r),
+				g.generations, g.bestBits, g.digest)
+		}
 	}
 }

@@ -226,11 +226,15 @@ func (p *Predictor) Fit(f transpose.Fold) (transpose.Model, error) {
 	}
 
 	// Learn distance weights: minimise the leave-one-out kNN prediction
-	// error over the training benchmarks on the target machines.
+	// error over the training benchmarks on the target machines. The
+	// pair differences do not depend on the weights, so every fitness
+	// evaluation of the fit shares one table.
+	var pairs pairTable
+	pairs.fill(zBench)
 	cfg := p.GA
 	cfg.Genes = dim
 	res, err := ga.Run(func(w []float64) float64 {
-		return p.looError(w, zBench, scores)
+		return p.loo(w, &pairs, scores)
 	}, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("gaknn: weight learning: %w", err)
@@ -244,36 +248,35 @@ func (p *Predictor) Fit(f transpose.Fold) (transpose.Model, error) {
 	}, nil
 }
 
-// looError is the GA fitness: mean relative error of leave-one-out kNN
+// loo is the GA fitness: mean relative error of leave-one-out kNN
 // prediction over the training benchmarks and all target machines. Each
 // pair's weighted distance is computed once and mirrored: a−b = −(b−a)
 // and (w·(−d))·(−d) = (w·d)·d hold exactly, so row b of the matrix is
 // bit for bit what a per-benchmark query from b computes. Buffers come
 // from a per-worker scratch pool, so one evaluation allocates nothing
 // once the pool is warm.
-func (p *Predictor) looError(w []float64, zBench [][]float64, scores rowMajor) float64 {
+func (p *Predictor) loo(w []float64, pairs *pairTable, scores rowMajor) float64 {
 	s := looScratchPool.Get()
 	defer looScratchPool.Put(s)
-	nb := len(zBench)
+	nb := pairs.nb
 	k := min(p.K, nb-1)
 	s.buf = engine.GrowFloats(s.buf, nb*nb+k+scores.cols)
 	dist, votes, pred := s.buf[:nb*nb], s.buf[nb*nb:nb*nb+k], s.buf[nb*nb+k:]
 	if cap(s.nbrs) < k {
 		s.nbrs = make([]knn.Neighbour, 0, k)
 	}
-	for i := range zBench {
-		for j := i + 1; j < nb; j++ {
-			d := distance(w, zBench[i], zBench[j])
-			dist[i*nb+j], dist[j*nb+i] = d, d
-		}
-	}
+	pairs.distances(w, dist)
 	total := 0.0
-	for b := range zBench {
+	for b := 0; b < nb; b++ {
 		nbrs := s.nbrs[:0]
 		for i, d := range dist[b*nb : (b+1)*nb] {
-			if i != b {
-				nbrs = knn.Insert(nbrs, k, knn.Neighbour{Index: i, Distance: d})
+			// Candidates arrive in ascending index, so once k are held a
+			// candidate enters only if strictly closer than the k-th: a
+			// tie loses on index. This is knn.Insert's own test, inlined.
+			if i == b || len(nbrs) == k && !(d < nbrs[k-1].Distance) {
+				continue
 			}
+			nbrs = knn.Insert(nbrs, k, knn.Neighbour{Index: i, Distance: d})
 		}
 		vote(pred, nbrs, votes, scores)
 		for t, actual := range scores.row(b) {
@@ -284,6 +287,51 @@ func (p *Predictor) looError(w []float64, zBench [][]float64, scores rowMajor) f
 		return math.Inf(1)
 	}
 	return total / float64(nb*scores.cols)
+}
+
+// pairTable holds the characteristic differences zBench[a][j] − zBench[b][j]
+// of every benchmark pair a < b, pairs in (a, b) row-major order, dim
+// values each.
+type pairTable struct {
+	nb, dim int
+	diff    []float64
+}
+
+// fill rebuilds t from zBench, reusing its storage.
+func (t *pairTable) fill(zBench [][]float64) {
+	t.nb, t.dim = len(zBench), len(zBench[0])
+	t.diff = engine.GrowFloats(t.diff, t.nb*(t.nb-1)/2*t.dim)
+	p := 0
+	for a, za := range zBench {
+		for _, zb := range zBench[a+1:] {
+			for j, v := range zb[:t.dim] {
+				t.diff[p+j] = za[j] - v
+			}
+			p += t.dim
+		}
+	}
+}
+
+// distances writes the weighted distance of every pair into dist, an
+// nb×nb row-major matrix, at both (a, b) and (b, a). Each pair's sum runs
+// in ascending j from +0 with terms (w_j·d)·d, the chain distance
+// computes, so the values are bit-identical to it.
+func (t *pairTable) distances(w, dist []float64) {
+	nb, dim := t.nb, t.dim
+	w = w[:dim]
+	p := 0
+	for a := 0; a < nb; a++ {
+		for b := a + 1; b < nb; b++ {
+			d := t.diff[p : p+dim : p+dim]
+			s := 0.0
+			for j, x := range d {
+				s += w[j] * x * x
+			}
+			dist[a*nb+b] = math.Sqrt(s)
+			dist[b*nb+a] = dist[a*nb+b]
+			p += dim
+		}
+	}
 }
 
 // nearest returns the k nearest benchmarks to query under the weights w,

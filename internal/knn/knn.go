@@ -11,12 +11,10 @@ type Neighbour struct {
 }
 
 // before reports whether a precedes b under (Distance, then Index). For
-// finite distances and unique indices this is a strict total order.
+// finite distances and unique indices this is a strict total order; a
+// NaN distance precedes nothing and nothing precedes it.
 func (a Neighbour) before(b Neighbour) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	return a.Index < b.Index
+	return a.Distance < b.Distance || a.Distance == b.Distance && a.Index < b.Index
 }
 
 // Insert adds n to top, the k nearest neighbours seen so far, and returns

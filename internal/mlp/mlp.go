@@ -480,37 +480,30 @@ func (n *Network) step(cur, nxt, deltas [][]float64, lr, mu float64) {
 // are the operations of a momentum update followed by applyLayer, in the
 // same order on the same operands, so weights and activations are
 // bit-identical to the two separate passes. Four units share each pass
-// over k: their add chains are independent, so they overlap instead of
-// each waiting on the one before. Leftover units (and the one-unit output
-// layer) take the single-row form of the same loop.
+// over k (step4): their add chains are independent, so they overlap
+// instead of each waiting on the one before. Two leftover units share
+// one pass too (step2); a last unit (and the one-unit output layer)
+// takes the single-row form of the same loop.
 func (ly *layer) step(in, next, d, out []float64, lr, mu float64) {
 	n := len(in)
 	next = next[:n]
 	units := len(ly.B)
 	j := 0
 	for ; j+4 <= units; j += 4 {
-		g0, g1, g2, g3 := lr*d[j], lr*d[j+1], lr*d[j+2], lr*d[j+3]
-		s0, s1 := ly.stepBias(j, g0, mu), ly.stepBias(j+1, g1, mu)
-		s2, s3 := ly.stepBias(j+2, g2, mu), ly.stepBias(j+3, g3, mu)
-		w0, dw0 := ly.row(j, n)
-		w1, dw1 := ly.row(j+1, n)
-		w2, dw2 := ly.row(j+2, n)
-		w3, dw3 := ly.row(j+3, n)
-		for k, x := range in {
-			xn := next[k]
-			u0 := g0*x + mu*dw0[k]
-			u1 := g1*x + mu*dw1[k]
-			u2 := g2*x + mu*dw2[k]
-			u3 := g3*x + mu*dw3[k]
-			v0, v1, v2, v3 := w0[k]+u0, w1[k]+u1, w2[k]+u2, w3[k]+u3
-			w0[k], w1[k], w2[k], w3[k] = v0, v1, v2, v3
-			dw0[k], dw1[k], dw2[k], dw3[k] = u0, u1, u2, u3
-			s0 += v0 * xn
-			s1 += v1 * xn
-			s2 += v2 * xn
-			s3 += v3 * xn
+		g := [4]float64{lr * d[j], lr * d[j+1], lr * d[j+2], lr * d[j+3]}
+		s := [4]float64{
+			ly.stepBias(j, g[0], mu), ly.stepBias(j+1, g[1], mu),
+			ly.stepBias(j+2, g[2], mu), ly.stepBias(j+3, g[3], mu),
 		}
-		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+		step4(ly.wf[j*n:(j+4)*n], ly.dwf[j*n:(j+4)*n], in, next, &g, mu, &s)
+		out[j], out[j+1], out[j+2], out[j+3] = s[0], s[1], s[2], s[3]
+	}
+	if j+2 <= units {
+		g := [2]float64{lr * d[j], lr * d[j+1]}
+		s := [2]float64{ly.stepBias(j, g[0], mu), ly.stepBias(j+1, g[1], mu)}
+		step2(ly.wf[j*n:(j+2)*n], ly.dwf[j*n:(j+2)*n], in, next, &g, mu, &s)
+		out[j], out[j+1] = s[0], s[1]
+		j += 2
 	}
 	for ; j < units; j++ {
 		g := lr * d[j]
@@ -529,6 +522,55 @@ func (ly *layer) step(in, next, d, out []float64, lr, mu float64) {
 			out[j] = sigmoid(s)
 		}
 	}
+}
+
+// step4Go is the step of four units at once: w and dw hold their weight
+// and momentum rows back to back (4·len(in) values each), grad their
+// gradient scales lr·d_j, and sums their updated biases on entry and
+// their forward sums on exit. It is the portable form of step4.
+func step4Go(w, dw, in, next []float64, grad *[4]float64, mu float64, sums *[4]float64) {
+	n := len(in)
+	next = next[:n]
+	w0, w1, w2, w3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
+	dw0, dw1, dw2, dw3 := dw[:n], dw[n:][:n], dw[2*n:][:n], dw[3*n:][:n]
+	g0, g1, g2, g3 := grad[0], grad[1], grad[2], grad[3]
+	s0, s1, s2, s3 := sums[0], sums[1], sums[2], sums[3]
+	for k, x := range in {
+		xn := next[k]
+		u0 := g0*x + mu*dw0[k]
+		u1 := g1*x + mu*dw1[k]
+		u2 := g2*x + mu*dw2[k]
+		u3 := g3*x + mu*dw3[k]
+		v0, v1, v2, v3 := w0[k]+u0, w1[k]+u1, w2[k]+u2, w3[k]+u3
+		w0[k], w1[k], w2[k], w3[k] = v0, v1, v2, v3
+		dw0[k], dw1[k], dw2[k], dw3[k] = u0, u1, u2, u3
+		s0 += v0 * xn
+		s1 += v1 * xn
+		s2 += v2 * xn
+		s3 += v3 * xn
+	}
+	sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
+}
+
+// step2Go is step4Go for two units.
+func step2Go(w, dw, in, next []float64, grad *[2]float64, mu float64, sums *[2]float64) {
+	n := len(in)
+	next = next[:n]
+	w0, w1 := w[:n], w[n:][:n]
+	dw0, dw1 := dw[:n], dw[n:][:n]
+	g0, g1 := grad[0], grad[1]
+	s0, s1 := sums[0], sums[1]
+	for k, x := range in {
+		xn := next[k]
+		u0 := g0*x + mu*dw0[k]
+		u1 := g1*x + mu*dw1[k]
+		v0, v1 := w0[k]+u0, w1[k]+u1
+		w0[k], w1[k] = v0, v1
+		dw0[k], dw1[k] = u0, u1
+		s0 += v0 * xn
+		s1 += v1 * xn
+	}
+	sums[0], sums[1] = s0, s1
 }
 
 // row returns unit j's weight and momentum rows (n wide) from the flat
