@@ -12,7 +12,6 @@ build:
 
 test:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -tags purego ./internal/mlp ./internal/transpose
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...

@@ -1,10 +1,9 @@
-//go:build !amd64 || purego
+//go:build !amd64
 
 package mlp
 
 // step4 and step2 run the multi-unit training steps in Go on every
-// GOARCH without an assembly kernel, and on amd64 under the purego build
-// tag.
+// GOARCH without an assembly kernel.
 func step4(w, dw, in, next []float64, grad *[4]float64, mu float64, sums *[4]float64) {
 	step4Go(w, dw, in, next, grad, mu, sums)
 }

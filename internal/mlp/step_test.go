@@ -61,7 +61,7 @@ func (c stepCase) requireSame(t *testing.T, ctx string, want stepCase) {
 var stepWidths = []int{1, 2, 3, 14, 28}
 
 // TestStep4MatchesGo pins step4 (the SSE2 kernel on amd64, step4Go
-// itself under purego and on other GOARCHes) to step4Go bit for bit,
+// itself on other GOARCHes) to step4Go bit for bit,
 // over several steps so updated weights and momenta feed the next one.
 func TestStep4MatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
