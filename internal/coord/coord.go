@@ -165,21 +165,28 @@ func (c *Coordinator) sweep(now time.Time) {
 		if !now.After(l.expires) {
 			continue
 		}
-		requeued := 0
-		for _, u := range l.units {
-			if c.state[u] == stateLeased && c.owner[u] == id {
-				c.state[u] = statePending
-				c.owner[u] = ""
-				c.leasedCount--
-				c.queue = append(c.queue, u)
-				c.unitsRecovered++
-				requeued++
-			}
-		}
-		delete(c.leases, id)
+		requeued := c.release(id, l)
+		c.unitsRecovered += int64(requeued)
 		c.leasesExpired++
 		c.log.Warn("lease expired", "trace", l.trace, "lease", id, "worker", l.worker, "requeued", requeued)
 	}
+}
+
+// release ends lease id, returning the units it still holds to the queue,
+// and reports how many it returned. Callers hold c.mu.
+func (c *Coordinator) release(id string, l *lease) int {
+	requeued := 0
+	for _, u := range l.units {
+		if c.state[u] == stateLeased && c.owner[u] == id {
+			c.state[u] = statePending
+			c.owner[u] = ""
+			c.leasedCount--
+			c.queue = append(c.queue, u)
+			requeued++
+		}
+	}
+	delete(c.leases, id)
+	return requeued
 }
 
 // batchSize derives the adaptive lease size: enough units that a batch
@@ -314,7 +321,9 @@ type CompleteResult struct {
 	Done bool `json:"done"`
 }
 
-// Complete marks the given units done. The units must belong to the plan;
+// Complete marks the given units done and ends the lease; units of the
+// lease the call does not name return to the queue. The units must belong
+// to the plan;
 // they need not still be attributed to the lease — a lease that expired
 // mid-flight (and whose units may have been re-leased or even re-completed
 // by another worker) still completes successfully, because the results
@@ -371,7 +380,9 @@ func (c *Coordinator) Complete(id string, keys []resultstore.Key, trace string) 
 				c.ewmaUnitSeconds = alpha*per + (1-alpha)*c.ewmaUnitSeconds
 			}
 		}
-		delete(c.leases, id)
+		// Units of the lease this call left out go back to the queue:
+		// with the lease gone, nothing else would ever release them.
+		c.release(id, l)
 	} else {
 		c.lateCompletes++
 	}

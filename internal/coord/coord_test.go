@@ -236,3 +236,31 @@ func TestGrantEchoesPlanFingerprint(t *testing.T) {
 		t.Fatalf("Plan() %q", c.Plan())
 	}
 }
+
+// TestCompleteRequeuesUnnamedUnits: a complete that names only part of
+// its lease ends the lease and returns the rest to the queue; before,
+// they stayed leased to a lease that no longer existed, so the run could
+// never finish.
+func TestCompleteRequeuesUnnamedUnits(t *testing.T) {
+	c, err := New("fp", testKeys(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := c.Lease("a", 0)
+	if _, err := c.Complete(g.ID, g.Units, ""); err != nil {
+		t.Fatal(err)
+	}
+	g = c.Lease("a", 2)
+	if len(g.Units) != 2 {
+		t.Fatalf("second grant %+v, want 2 units", g)
+	}
+	if _, err := c.Complete(g.ID, g.Units[:1], ""); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Done != 2 || st.Leased != 0 || st.Pending != 1 || st.Leases != 0 {
+		t.Fatalf("after a partial complete: %+v", st)
+	}
+	if g2 := c.Lease("b", 0); len(g2.Units) != 1 || g2.Units[0] != g.Units[1] {
+		t.Fatalf("b leased %+v, want the unit the partial complete left out", g2.Units)
+	}
+}

@@ -407,6 +407,37 @@ func (d *Matrix) FamilySplit(family string) (target, predictive *Matrix, err err
 	return target, predictive, nil
 }
 
+// FamilyTargets returns the target view FamilySplit(f) would return for
+// every processor family f, keyed by family, built in one pass over the
+// machines instead of one pass per family. The views share the
+// receiver's score storage and one copy of its benchmark names.
+func (d *Matrix) FamilyTargets() map[string]*Matrix {
+	cols := map[string][]int{}
+	for i, m := range d.Machines {
+		cols[m.Family] = append(cols[m.Family], i)
+	}
+	benchmarks := append([]string(nil), d.Benchmarks...)
+	out := make(map[string]*Matrix, len(cols))
+	for family, idx := range cols {
+		machines := make([]Machine, len(idx))
+		for j, i := range idx {
+			machines[j] = d.Machines[i]
+			if d.colIdx != nil {
+				idx[j] = d.colIdx[i]
+			}
+		}
+		out[family] = &Matrix{
+			Benchmarks: benchmarks,
+			Machines:   machines,
+			data:       d.data,
+			stride:     d.stride,
+			rowIdx:     d.rowIdx,
+			colIdx:     idx,
+		}
+	}
+	return out
+}
+
 // YearSplit returns machines released in targetYear as targets and machines
 // matching the predicate on year as the predictive set. Both views share
 // the receiver's score storage.

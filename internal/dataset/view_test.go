@@ -245,3 +245,26 @@ func TestViewAliasing(t *testing.T) {
 		t.Fatal("Compact write leaked into parent")
 	}
 }
+
+// TestFamilyTargetsMatchFamilySplit: the one-pass index holds, for every
+// family, the target view FamilySplit builds — on a root matrix and on a
+// view of one (a year selection, so column indices are remapped).
+func TestFamilyTargetsMatchFamilySplit(t *testing.T) {
+	d := generated(t, 6, 30, 11)
+	for name, m := range map[string]*Matrix{
+		"root": d,
+		"view": d.SelectMachines(func(m Machine) bool { return m.Year != 2008 }),
+	} {
+		index := m.FamilyTargets()
+		if len(index) != len(m.Families()) {
+			t.Fatalf("%s: %d families indexed, want %d", name, len(index), len(m.Families()))
+		}
+		for _, f := range m.Families() {
+			want, _, err := m.FamilySplit(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameScores(t, name+"/"+f, index[f], want)
+		}
+	}
+}

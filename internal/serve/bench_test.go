@@ -142,6 +142,68 @@ func BenchmarkServeRank(b *testing.B) {
 		}
 	})
 
+	b.Run("fresh-inproc", func(b *testing.B) {
+		// Ranking from your own scores without the HTTP round trip: every
+		// body is unique, so the rank cache (at its default size) misses,
+		// and every model is resident, so the request decodes, looks its
+		// model up, predicts and encodes. The bodies cycle over every
+		// family and fresh-scores method; the first score of each carries
+		// the iteration number in fixed-width digits.
+		srv, err := NewServer(data.Matrix, data.Characteristics, Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		h := srv.Handler()
+		do := func(body []byte) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/rank", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.Bytes())
+			}
+		}
+		const digits = 15
+		gcc, err := data.Matrix.BenchmarkIndex("gcc")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var (
+			bodies [][]byte
+			at     []int // offset of each body's iteration digits
+		)
+		for _, family := range data.Matrix.Families() {
+			_, pred, err := data.Matrix.FamilySplit(family)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rest, err := json.Marshal(pred.Row(gcc)[1:])
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, m := range []string{"NN^T", "SPL^T", "kNN^M"} {
+				head, err := json.Marshal(RankRequest{Family: family, Method: m})
+				if err != nil {
+					b.Fatal(err)
+				}
+				body := append(head[:len(head)-1], `,"scores":[1.`...)
+				at = append(at, len(body))
+				body = append(body, bytes.Repeat([]byte("0"), digits)...)
+				body = append(append(append(body, ','), rest[1:]...), '}')
+				bodies = append(bodies, body)
+				do(body) // fit the model outside the timer
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(bodies)
+			for j, n := at[k]+digits-1, i; j >= at[k]; j, n = j-1, n/10 {
+				bodies[k][j] = byte('0' + n%10)
+			}
+			do(bodies[k])
+		}
+	})
+
 	b.Run("coalesced-8clients", func(b *testing.B) {
 		// MLP^T misses under concurrency: the response cache is disabled so
 		// every request reaches the registry, and the 8 clients use 8

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -100,6 +101,34 @@ func FuzzQueryShape(f *testing.F) {
 			mutate(&other)
 			if shape(other) == want {
 				t.Fatalf("request with a different %s shares shape %s", name, want)
+			}
+		}
+	})
+}
+
+// FuzzDecodeRankRequest pins the /v1/rank body decoder to its reference,
+// encoding/json: both accept or both reject every input, and on accept
+// every field matches, scores bit for bit and nil for nil.
+func FuzzDecodeRankRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want, got RankRequest
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		gotErr := decodeRankRequest(body, &got)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%q: encoding/json error %v, decodeRankRequest error %v", body, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if got.Family != want.Family || got.Method != want.Method || got.App != want.App || got.Top != want.Top {
+			t.Fatalf("%q: decoded %+v, encoding/json %+v", body, got, want)
+		}
+		if (got.Scores == nil) != (want.Scores == nil) || len(got.Scores) != len(want.Scores) {
+			t.Fatalf("%q: scores %#v, encoding/json %#v", body, got.Scores, want.Scores)
+		}
+		for i, v := range want.Scores {
+			if math.Float64bits(got.Scores[i]) != math.Float64bits(v) {
+				t.Fatalf("%q: score %d is %v, encoding/json %v", body, i, got.Scores[i], v)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -349,6 +350,80 @@ func TestServerSnapshotHotSwap(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/snapshot", strings.NewReader("garbage")))
 	if rec.Code != http.StatusBadRequest || srv.SnapshotHash() != cur {
 		t.Fatalf("bad CSV: HTTP %d, hash changed=%v", rec.Code, srv.SnapshotHash() != cur)
+	}
+}
+
+// repeatReader yields n copies of one byte without holding them.
+type repeatReader struct {
+	c byte
+	n int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.c
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestServerBodyLimits pins the request body limits: a body up to the
+// limit is read whole, and one past it is refused with 413 too_large
+// rather than cut short. A snapshot cut at the limit would still parse
+// here — its last score loses three digits — so the oversized upload
+// must fail instead of swapping in a wrong snapshot.
+func TestServerBodyLimits(t *testing.T) {
+	m := testWorld(t)
+	srv, err := NewServer(m, nil, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	wantTooLarge := func(rec *httptest.ResponseRecorder) {
+		t.Helper()
+		var body struct {
+			Error struct{ Code string } `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusRequestEntityTooLarge || body.Error.Code != "too_large" {
+			t.Fatalf("HTTP %d %s, want 413 too_large", rec.Code, rec.Body.Bytes())
+		}
+	}
+
+	const query = `{"family":"Alpha","app":"benchA","method":"nnt"}`
+	pad := func(n int) string { return query + strings.Repeat(" ", n-len(query)) }
+	if rec := post(t, h, "/v1/rank", pad(maxRankBody)); rec.Code != http.StatusOK {
+		t.Fatalf("rank body at the limit: HTTP %d %s", rec.Code, rec.Body.Bytes())
+	}
+	wantTooLarge(post(t, h, "/v1/rank", pad(maxRankBody+1)))
+
+	// A valid CSV with blank lines (which the parser skips) before its
+	// last row, streamed without a declared length to 3 bytes past the
+	// limit.
+	var csv bytes.Buffer
+	if err := m.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.LastIndexByte(csv.Bytes()[:csv.Len()-1], '\n') + 1
+	head, tail := csv.Bytes()[:cut], csv.Bytes()[cut:]
+	cutShort, err := dataset.ReadCSV(bytes.NewReader(csv.Bytes()[:csv.Len()-3]))
+	if err != nil || cutShort.Hash() == m.Hash() {
+		t.Fatalf("the CSV cut 3 bytes short should parse to another snapshot (err %v)", err)
+	}
+	blank := int64(maxSnapshotBody + 3 - len(head) - len(tail))
+	body := io.MultiReader(bytes.NewReader(head), &repeatReader{c: '\n', n: blank}, bytes.NewReader(tail))
+	before := srv.SnapshotHash()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/snapshot", body))
+	wantTooLarge(rec)
+	if srv.SnapshotHash() != before {
+		t.Fatal("an oversized snapshot upload swapped the snapshot")
 	}
 }
 

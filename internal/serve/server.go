@@ -78,13 +78,50 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// snapshot is an immutable (matrix, characteristics) pair plus its hash.
-// The server swaps whole snapshots atomically; in-flight queries keep the
-// one they started with.
+// snapshot is an immutable (matrix, characteristics) pair plus its hash
+// and family index. The server swaps whole snapshots atomically; in-flight
+// queries keep the one they started with.
 type snapshot struct {
-	matrix *dataset.Matrix
-	chars  map[string][]float64
-	hash   string
+	matrix   *dataset.Matrix
+	chars    map[string][]float64
+	hash     string
+	families map[string]family
+}
+
+// family is one processor family of a snapshot: its target view and the
+// size of its predictive set, the score count a fresh-scores request for
+// it must carry.
+type family struct {
+	targets    *dataset.Matrix
+	predictive int
+}
+
+// newSnapshot indexes m's families in one pass over its machines, so
+// requests look their family up instead of splitting the matrix.
+func newSnapshot(m *dataset.Matrix, chars map[string][]float64) *snapshot {
+	targets := m.FamilyTargets()
+	families := make(map[string]family, len(targets))
+	for f, t := range targets {
+		families[f] = family{targets: t, predictive: m.NumMachines() - t.NumMachines()}
+	}
+	return &snapshot{matrix: m, chars: chars, hash: m.Hash(), families: families}
+}
+
+// family looks up the named family, failing with a 400 when the snapshot
+// has no such family.
+func (s *snapshot) family(name string) (family, error) {
+	f, ok := s.families[name]
+	if !ok {
+		return family{}, badRequest("unknown processor family %q", name)
+	}
+	return f, nil
+}
+
+// predictive returns the view of every machine outside the named family:
+// the predictive half of its split. It costs O(machines), so it is built
+// only where a fold is.
+func (s *snapshot) predictive(family string) *dataset.Matrix {
+	return s.matrix.SelectMachines(func(m dataset.Machine) bool { return m.Family != family })
 }
 
 // freshScorer is the serving interface of application-independent models:
@@ -205,7 +242,7 @@ func NewServer(m *dataset.Matrix, chars map[string][]float64, opts Options) (*Se
 	if opts.Coordinator != nil {
 		s.work = coord.NewHTTPHandler(opts.Coordinator)
 	}
-	s.snap.Store(&snapshot{matrix: m, chars: chars, hash: m.Hash()})
+	s.snap.Store(newSnapshot(m, chars))
 	s.registerMetrics(reg)
 	return s, nil
 }
@@ -250,7 +287,7 @@ func (s *Server) SwapSnapshot(m *dataset.Matrix, chars map[string][]float64) (st
 	if err := m.Validate(); err != nil {
 		return "", fmt.Errorf("serve: invalid snapshot: %w", err)
 	}
-	next := &snapshot{matrix: m, chars: chars, hash: m.Hash()}
+	next := newSnapshot(m, chars)
 	// One critical section for the whole swap: the snapshot pointer, the
 	// registry eviction and both response-cache purges land together, so
 	// a concurrent swap cannot interleave and leave a cache holding
@@ -370,9 +407,9 @@ func (s *Server) Rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		return nil, badRequest("exactly one of app or scores must be set")
 	}
 	snap := s.snap.Load()
-	targets, predictive, err := snap.matrix.FamilySplit(req.Family)
+	fam, err := snap.family(req.Family)
 	if err != nil {
-		return nil, &httpError{code: http.StatusBadRequest, err: err}
+		return nil, err
 	}
 
 	key := Key{Snapshot: snap.hash, Family: req.Family, App: req.App, Method: canon, Seed: s.opts.Seed}
@@ -381,8 +418,8 @@ func (s *Server) Rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		if !SupportsFreshScores(canon) {
 			return nil, badRequest("method %s cannot rank from raw scores (its fit depends on the application); supply app instead", canon)
 		}
-		if len(req.Scores) != predictive.NumMachines() {
-			return nil, badRequest("got %d scores for %d predictive machines", len(req.Scores), predictive.NumMachines())
+		if len(req.Scores) != fam.predictive {
+			return nil, badRequest("got %d scores for %d predictive machines", len(req.Scores), fam.predictive)
 		}
 		b := make([]byte, 8*len(req.Scores))
 		for i, v := range req.Scores {
@@ -400,44 +437,46 @@ func (s *Server) Rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 	// Coalesce: concurrent queries for one model and one score vector —
 	// whatever their top clamps — share one fit and one PredictTargets.
 	p, err := s.ranks.do(ctx, ck, func() (prediction, error) {
-		return s.predict(ctx, snap, key, canon, targets, predictive, req)
+		return s.predict(ctx, snap, key, canon, fam.targets, req)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return BuildRankResponse(req.Family, req.App, canon, snap.hash, targets.Machines, p.predicted, p.measured, req.Top)
+	return BuildRankResponse(req.Family, req.App, canon, snap.hash, fam.targets.Machines, p.predicted, p.measured, req.Top)
 }
 
 // predict performs the fit-and-predict of one coalesced ranking flight
 // under the server's lifetime; ctx only labels its log lines.
-func (s *Server) predict(ctx context.Context, snap *snapshot, key Key, canon string, targets, predictive *dataset.Matrix, req RankRequest) (prediction, error) {
+func (s *Server) predict(ctx context.Context, snap *snapshot, key Key, canon string, targets *dataset.Matrix, req RankRequest) (prediction, error) {
+	const freshApp = "application-of-interest"
 	var (
 		appOnTgt []float64
 		fold     transpose.Fold
 	)
 	if req.App != "" {
 		var err error
-		fold, appOnTgt, err = transpose.NewFold(predictive, targets, req.App, snap.chars)
+		fold, appOnTgt, err = transpose.NewFold(snap.predictive(req.Family), targets, req.App, snap.chars)
 		if err != nil {
 			return prediction{}, &httpError{code: http.StatusBadRequest, err: err}
 		}
-	} else {
-		const freshApp = "application-of-interest"
-		if _, err := predictive.BenchmarkIndex(freshApp); err == nil {
-			return prediction{}, badRequest("snapshot contains a benchmark named %q; rank it via app instead", freshApp)
-		}
-		fold = transpose.Fold{
-			AppName:   freshApp,
-			Pred:      predictive,
-			AppOnPred: req.Scores,
-			Tgt:       targets,
-		}
-		if err := fold.Validate(); err != nil {
-			return prediction{}, badRequest("invalid fold: %v", err)
-		}
+	} else if _, err := snap.matrix.BenchmarkIndex(freshApp); err == nil {
+		return prediction{}, badRequest("snapshot contains a benchmark named %q; rank it via app instead", freshApp)
 	}
 
 	fit := func() (transpose.Model, error) {
+		if req.App == "" {
+			// The fresh-scores fold is built only here, on a registry miss:
+			// a hit predicts from the scores alone.
+			fold = transpose.Fold{
+				AppName:   freshApp,
+				Pred:      snap.predictive(req.Family),
+				AppOnPred: req.Scores,
+				Tgt:       targets,
+			}
+			if err := fold.Validate(); err != nil {
+				return nil, badRequest("invalid fold: %v", err)
+			}
+		}
 		p, _, err := NewPredictor(canon, s.opts.Seed)
 		if err != nil {
 			return nil, err
@@ -535,24 +574,58 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeError writes err in the unified /v1 error envelope, deriving the
-// HTTP status from the error's type (httpError carries one; cancellation
-// maps to 503; anything else is a 500).
+// HTTP status from the error's type (httpError carries one; a body over
+// its endpoint's limit maps to 413; cancellation maps to 503; anything
+// else is a 500).
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
-	var he *httpError
-	if errors.As(err, &he) {
+	var (
+		he       *httpError
+		tooLarge *http.MaxBytesError
+	)
+	switch {
+	case errors.As(err, &he):
 		code = he.code
-	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
+		err = fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusServiceUnavailable
 	}
 	api.WriteError(w, code, "", "%v", err)
 }
 
+// Request body limits: a rank body carries at most a few hundred scores,
+// a snapshot body the whole CSV dataset.
+const (
+	maxRankBody     = 1 << 20
+	maxSnapshotBody = 64 << 20
+)
+
+// readBody reads r's body whole, failing with *http.MaxBytesError past
+// limit bytes. A declared Content-Length sizes the buffer up front, so a
+// body arrives in one allocation.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req RankRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	raw, err := readBody(w, r, maxRankBody)
+	if err == nil {
+		err = decodeRankRequest(raw, &req)
+	}
+	if err != nil {
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = badRequest("decoding request: %v", err)
+		}
 		s.rankErrors.Inc()
-		s.writeError(w, badRequest("decoding request: %v", err))
+		s.writeError(w, err)
 		return
 	}
 	// The cache keys on the decoded, canonicalised query — method aliases,
@@ -630,8 +703,8 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if family != "" {
-		if _, _, err := snap.matrix.FamilySplit(family); err != nil {
-			s.writeError(w, badRequest("%v", err))
+		if _, err := snap.family(family); err != nil {
+			s.writeError(w, err)
 			return
 		}
 	}
@@ -668,10 +741,14 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	const maxCSV = 64 << 20
-	m, err := dataset.ReadCSV(io.LimitReader(r.Body, maxCSV))
+	// An oversized upload fails whole: cutting it short could end inside
+	// the last cell and still parse.
+	m, err := dataset.ReadCSV(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
 	if err != nil {
-		s.writeError(w, badRequest("parsing snapshot CSV: %v", err))
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = badRequest("parsing snapshot CSV: %v", err)
+		}
+		s.writeError(w, err)
 		return
 	}
 	hash, err := s.SwapSnapshot(m, nil)
