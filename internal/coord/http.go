@@ -32,7 +32,8 @@ import (
 // computing and completes anyway — completion is idempotent because unit
 // results are content-addressed in the shared store.
 
-// maxWorkBody bounds one request body.
+// maxWorkBody bounds one request body; a longer one is refused whole
+// with 413 too_large.
 const maxWorkBody = 8 << 20
 
 // leaseRequest is the body of POST <base>/lease.
@@ -111,7 +112,19 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusMethodNotAllowed, "", "use POST for %s", op)
 		return
 	}
-	body := io.LimitReader(r.Body, maxWorkBody)
+	// Read the whole body under the limit before decoding: a cut body
+	// could otherwise pass as its valid JSON prefix.
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWorkBody))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			api.WriteError(w, http.StatusRequestEntityTooLarge, "", "request body exceeds the %d-byte limit", tooLarge.Limit)
+		} else {
+			api.WriteError(w, http.StatusBadRequest, "", "reading %s request: %v", op, err)
+		}
+		return
+	}
+	body := bytes.NewReader(raw)
 	switch op {
 	case "lease":
 		var req leaseRequest

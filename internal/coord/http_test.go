@@ -221,3 +221,46 @@ func TestNewClientValidatesURL(t *testing.T) {
 		t.Fatalf("explicit mount %q", cl.Base())
 	}
 }
+
+// TestWorkBodyLimit posts bodies at and just past maxWorkBody to every
+// POST endpoint: a valid request padded to exactly the limit is decoded,
+// one byte more is refused whole with 413 too_large — never cut to its
+// valid JSON prefix.
+func TestWorkBodyLimit(t *testing.T) {
+	c, err := New("fp", testKeys(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := newTestServer(t, c)
+	for _, tc := range []struct {
+		op, body string
+		ok       int
+	}{
+		{"lease", `{"worker":"w"}`, http.StatusOK},
+		{"heartbeat", `{"lease":"none"}`, http.StatusNotFound},
+		{"complete", `{"lease":"none","units":[]}`, http.StatusOK},
+	} {
+		for _, size := range []int{maxWorkBody, maxWorkBody + 1} {
+			body := tc.body + strings.Repeat(" ", size-len(tc.body))
+			resp, err := http.Post(ts.URL+"/v1/work/"+tc.op, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Error struct{ Code string } `json:"error"`
+			}
+			json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			want, code := tc.ok, env.Error.Code
+			if size > maxWorkBody {
+				want = http.StatusRequestEntityTooLarge
+				if code != "too_large" {
+					t.Fatalf("%s with %d bytes: error code %q, want too_large", tc.op, size, code)
+				}
+			}
+			if resp.StatusCode != want {
+				t.Fatalf("%s with %d bytes: status %d, want %d", tc.op, size, resp.StatusCode, want)
+			}
+		}
+	}
+}

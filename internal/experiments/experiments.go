@@ -69,6 +69,18 @@ type Config struct {
 	// RunSpecs/RunAll invocation generates the dataset exactly once and
 	// every spec (and the planner) reads the same instance.
 	ds *runDataset
+	// fam memoizes the family cross-validation of one RunSpecs
+	// invocation: Table 2 and Figures 6-7 are three views of one
+	// experiment, so the first of them to run fetches, decodes and
+	// assembles the family-CV units and the other two reuse the result.
+	// nil (RunReport, direct RunFamilyCV calls) means no memo.
+	fam *familyMemo
+}
+
+// familyMemo is the memoized family cross-validation of one run; run is
+// nil until the first family view fills it.
+type familyMemo struct {
+	run *FamilyRun
 }
 
 // runDataset is the memoized dataset of one run.
@@ -145,6 +157,23 @@ func (c *Config) dataset() (*synth.Data, string, error) {
 		c.ds = &runDataset{data: data, fp: datasetFingerprint(data)}
 	}
 	return c.ds.data, c.ds.fp, nil
+}
+
+// familyRun returns the run's family cross-validation. With a memo (a
+// RunSpecs invocation) it is computed by the first caller and shared by
+// the rest; without one every call runs RunFamilyCV afresh.
+func (c Config) familyRun() (*FamilyRun, error) {
+	if c.fam == nil {
+		return RunFamilyCV(c)
+	}
+	if c.fam.run == nil {
+		fr, err := RunFamilyCV(c)
+		if err != nil {
+			return nil, err
+		}
+		c.fam.run = fr
+	}
+	return c.fam.run, nil
 }
 
 // methodOptions is the construction tuning every predictor of this run
@@ -322,6 +351,12 @@ func summarize(rs []transpose.FoldResult, order []string) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
+	return summarizePerApp(rs, perApp, order), nil
+}
+
+// summarizePerApp is summarize over per-app metrics already computed
+// from rs.
+func summarizePerApp(rs []transpose.FoldResult, perApp map[string]transpose.Metrics, order []string) Summary {
 	s := Summary{Folds: len(rs)}
 	s.Worst.RankCorr = math.Inf(1)
 	s.Worst.Top1Err = math.Inf(-1)
@@ -344,16 +379,40 @@ func summarize(rs []transpose.FoldResult, order []string) (Summary, error) {
 			s.WorstFoldTop1 = r.Metrics.Top1Err
 		}
 	}
-	return s, nil
+	return s
 }
 
 // FamilyRun holds the processor-family cross-validation results shared by
-// Table 2, Figure 6 and Figure 7.
+// Table 2, Figure 6 and Figure 7. RunFamilyCV also attaches each
+// method's per-app metrics, computed once, which the three views read; a
+// FamilyRun built by hand carries none, and its views compute them from
+// Results (transpose.PerApp) on every call, with identical output.
 type FamilyRun struct {
 	// Order is the benchmark order (the figures' x axis).
 	Order []string
 	// Results holds the raw fold results per method name.
 	Results map[string][]transpose.FoldResult
+
+	// perApp[method] is transpose.PerApp(Results[method], Order), set by
+	// RunFamilyCV.
+	perApp map[string]map[string]transpose.Metrics
+}
+
+// methodResults returns one method's fold results and their per-app
+// metrics, from the run's precomputed metrics when it carries them.
+func (fr *FamilyRun) methodResults(name string) ([]transpose.FoldResult, map[string]transpose.Metrics, error) {
+	rs, ok := fr.Results[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("experiments: no results for method %q", name)
+	}
+	if perApp, ok := fr.perApp[name]; ok {
+		return rs, perApp, nil
+	}
+	perApp, err := transpose.PerApp(rs, fr.Order)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rs, perApp, nil
 }
 
 // familyCVUnits enumerates the family cross-validation units shared by
@@ -391,7 +450,8 @@ func (c *Config) familyCVUnits() ([]unitSpec[[]transpose.FoldResult], error) {
 // configured worker pool (their folds fan out within), results are
 // assembled in the serial family-major order, so output is independent of
 // the worker count, and a warm store serves previously computed cells
-// without refitting anything.
+// without refitting anything. Each call reads every cell from the store
+// once; RunSpecs calls it at most once per invocation.
 func RunFamilyCV(cfg Config) (*FamilyRun, error) {
 	units, err := cfg.familyCVUnits()
 	if err != nil {
@@ -405,17 +465,29 @@ func RunFamilyCV(cfg Config) (*FamilyRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	methods := cfg.Methods()
 	run := &FamilyRun{
 		Order:   append([]string(nil), data.Matrix.Benchmarks...),
-		Results: map[string][]transpose.FoldResult{},
+		Results: make(map[string][]transpose.FoldResult, len(methods)),
+		perApp:  make(map[string]map[string]transpose.Metrics, len(methods)),
 	}
 	families := len(data.Matrix.Families())
-	for i, m := range cfg.Methods() {
-		var rs []transpose.FoldResult
-		for f := 0; f < families; f++ {
-			rs = append(rs, cells[i*families+f]...)
+	for i, m := range methods {
+		mc := cells[i*families : (i+1)*families]
+		n := 0
+		for _, c := range mc {
+			n += len(c)
+		}
+		rs := make([]transpose.FoldResult, 0, n)
+		for _, c := range mc {
+			rs = append(rs, c...)
+		}
+		perApp, err := transpose.PerApp(rs, run.Order)
+		if err != nil {
+			return nil, err
 		}
 		run.Results[m.Name] = rs
+		run.perApp[m.Name] = perApp
 	}
 	return run, nil
 }
@@ -431,15 +503,11 @@ type Table2 struct {
 func (fr *FamilyRun) Table2() (*Table2, error) {
 	out := &Table2{Methods: MethodNames, Summary: map[string]Summary{}}
 	for _, name := range MethodNames {
-		rs, ok := fr.Results[name]
-		if !ok {
-			return nil, fmt.Errorf("experiments: no results for method %q", name)
-		}
-		s, err := summarize(rs, fr.Order)
+		rs, perApp, err := fr.methodResults(name)
 		if err != nil {
 			return nil, err
 		}
-		out.Summary[name] = s
+		out.Summary[name] = summarizePerApp(rs, perApp, fr.Order)
 	}
 	return out, nil
 }

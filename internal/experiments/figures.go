@@ -39,11 +39,7 @@ func (fr *FamilyRun) perBenchFigure(title, metric string, get func(transpose.Met
 		Average: map[string]float64{},
 	}
 	for _, name := range MethodNames {
-		rs, ok := fr.Results[name]
-		if !ok {
-			return nil, fmt.Errorf("experiments: no results for method %q", name)
-		}
-		perApp, err := transpose.PerApp(rs, fr.Order)
+		_, perApp, err := fr.methodResults(name)
 		if err != nil {
 			return nil, err
 		}

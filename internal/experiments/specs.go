@@ -45,104 +45,65 @@ type Spec struct {
 // ablations last. RunAll renders the paper set; `dtrank run -spec all`
 // renders everything.
 var specs = []Spec{
-	{SpecTable2, "Table 2: processor-family cross-validation", func(cfg Config, w io.Writer) error {
-		fr, err := RunFamilyCV(cfg)
+	{SpecTable2, "Table 2: processor-family cross-validation",
+		render(familyView((*FamilyRun).Table2)),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.familyCVUnits()) }},
+	{SpecFigure6, "Figure 6: rank correlation per benchmark",
+		render(familyView((*FamilyRun).Figure6)),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.familyCVUnits()) }},
+	{SpecFigure7, "Figure 7: top-1 error per benchmark",
+		render(familyView((*FamilyRun).Figure7)),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.familyCVUnits()) }},
+	{SpecTable3, "Table 3: predicting future machines", render(RunTable3),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.table3Units()) }},
+	{SpecTable4, "Table 4: limited predictive sets", render(RunTable4),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.table4Units()) }},
+	{SpecFigure8, "Figure 8: k-medoids vs random machine selection", render(RunFigure8),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.figure8Units()) }},
+	{SpecAblationChars, "Ablation: simulated characterisation failure", render(RunAblationHonestChars),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationCharsUnits()) }},
+	{SpecAblationDecay, "Ablation: MLP^T learning-rate decay", render(RunAblationMLPTDecay),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationDecayUnits()) }},
+	{SpecAblationPredictors, "Ablation: transposition model flexibility", render(RunAblationPredictors),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationPredictorsUnits()) }},
+	{SpecAblationSelection, "Ablation: predictive-machine selection", render(RunAblationSelection),
+		func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationSelectionUnits()) }},
+}
+
+// render adapts a runner to a spec's run function: it runs the
+// experiment and writes its rendering plus a blank line.
+func render[T interface{ Render() string }](run func(Config) (T, error)) func(Config, io.Writer) error {
+	return func(cfg Config, w io.Writer) error {
+		v, err := run(cfg)
 		if err != nil {
 			return err
 		}
-		t2, err := fr.Table2()
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", t2.Render())
+		_, err = fmt.Fprintf(w, "%s\n", v.Render())
 		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.familyCVUnits()) }},
-	{SpecFigure6, "Figure 6: rank correlation per benchmark", func(cfg Config, w io.Writer) error {
-		fr, err := RunFamilyCV(cfg)
+	}
+}
+
+// familyView adapts one view of the family cross-validation (Table 2,
+// Figure 6 or Figure 7) to a runner that reads the run's memoized
+// FamilyRun.
+func familyView[T any](view func(*FamilyRun) (T, error)) func(Config) (T, error) {
+	return func(cfg Config) (T, error) {
+		fr, err := cfg.familyRun()
 		if err != nil {
-			return err
+			var zero T
+			return zero, err
 		}
-		f6, err := fr.Figure6()
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", f6.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.familyCVUnits()) }},
-	{SpecFigure7, "Figure 7: top-1 error per benchmark", func(cfg Config, w io.Writer) error {
-		fr, err := RunFamilyCV(cfg)
-		if err != nil {
-			return err
-		}
-		f7, err := fr.Figure7()
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", f7.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.familyCVUnits()) }},
-	{SpecTable3, "Table 3: predicting future machines", func(cfg Config, w io.Writer) error {
-		t3, err := RunTable3(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", t3.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.table3Units()) }},
-	{SpecTable4, "Table 4: limited predictive sets", func(cfg Config, w io.Writer) error {
-		t4, err := RunTable4(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", t4.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.table4Units()) }},
-	{SpecFigure8, "Figure 8: k-medoids vs random machine selection", func(cfg Config, w io.Writer) error {
-		f8, err := RunFigure8(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", f8.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.figure8Units()) }},
-	{SpecAblationChars, "Ablation: simulated characterisation failure", func(cfg Config, w io.Writer) error {
-		a, err := RunAblationHonestChars(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", a.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationCharsUnits()) }},
-	{SpecAblationDecay, "Ablation: MLP^T learning-rate decay", func(cfg Config, w io.Writer) error {
-		a, err := RunAblationMLPTDecay(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", a.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationDecayUnits()) }},
-	{SpecAblationPredictors, "Ablation: transposition model flexibility", func(cfg Config, w io.Writer) error {
-		a, err := RunAblationPredictors(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", a.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationPredictorsUnits()) }},
-	{SpecAblationSelection, "Ablation: predictive-machine selection", func(cfg Config, w io.Writer) error {
-		a, err := RunAblationSelection(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", a.Render())
-		return err
-	}, func(cfg *Config) ([]Unit, error) { return planOf(cfg.ablationSelectionUnits()) }},
+		return view(fr)
+	}
 }
 
 // paperSpecIDs is the RunAll set: every table and figure of the paper's
 // evaluation, in the paper's order (ablations are this reproduction's
 // own and render via their own ids).
 var paperSpecIDs = []string{SpecTable2, SpecFigure6, SpecFigure7, SpecTable3, SpecTable4, SpecFigure8}
+
+// familyViews names the specs that render the family cross-validation.
+var familyViews = map[string]bool{SpecTable2: true, SpecFigure6: true, SpecFigure7: true}
 
 // Specs returns every runnable spec in presentation order.
 func Specs() []Spec {
@@ -171,12 +132,14 @@ func findSpec(id string) (Spec, error) {
 }
 
 // RunSpecs executes the named specs in the given order, sharing one
-// worker pool, one result store and one synthesised dataset across all
-// of them: Figures 6 and 7 reuse the family-CV cells Table 2 computed,
-// whether within this run (in memory) or from a previous run (cfg.Store
-// opened on a directory or remote URL), and the dataset is generated
-// exactly once per invocation instead of once per spec. Output is
-// byte-identical for every worker count, for cold versus warm stores,
+// worker pool, one result store, one synthesised dataset and one family
+// cross-validation across all of them. The dataset is generated once per
+// invocation, and the family-CV units Table 2 and Figures 6-7 read are
+// fetched from the store, decoded and assembled once — by whichever of
+// the three runs first — so every unit is read from the store at most
+// once per invocation, whether it was computed earlier in this run or by
+// a previous one (cfg.Store opened on a directory or remote URL). Output
+// is byte-identical for every worker count, for cold versus warm stores,
 // and for single-process versus sharded execution.
 func RunSpecs(cfg Config, w io.Writer, ids ...string) error {
 	resolved := make([]Spec, 0, len(ids))
@@ -187,16 +150,28 @@ func RunSpecs(cfg Config, w io.Writer, ids ...string) error {
 		}
 		resolved = append(resolved, s)
 	}
-	// Materialise the pool, store and dataset once on this copy; the
-	// specs' own Config copies then share all three.
+	// Materialise the pool, store, dataset and family-CV memo once on
+	// this copy; the specs' own Config copies then share all four.
 	cfg.eng()
 	cfg.store()
 	if _, _, err := cfg.dataset(); err != nil {
 		return err
 	}
-	for _, s := range resolved {
+	cfg.fam = &familyMemo{}
+	last := -1
+	for i, s := range resolved {
+		if familyViews[s.ID] {
+			last = i
+		}
+	}
+	for i, s := range resolved {
 		if err := s.run(cfg, w); err != nil {
 			return err
+		}
+		if i == last {
+			// No later spec reads the family run: drop it, so the specs
+			// still to compute do not carry it in their heap.
+			cfg.fam.run = nil
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,8 +50,9 @@ func TestWarmStoreSkipsEveryUnit(t *testing.T) {
 }
 
 // TestSpecsShareUnitsInMemory pins the sharing that makes RunAll cheap:
-// Figures 6 and 7 render from the family-CV cells Table 2 computed, so
-// running all three costs one set of fold computations.
+// Table 2 and Figures 6-7 render from one family cross-validation, so
+// running all three computes each family-CV cell once and reads none of
+// them back from the store.
 func TestSpecsShareUnitsInMemory(t *testing.T) {
 	st := resultstore.New()
 	cfg := fastConfig()
@@ -60,10 +62,91 @@ func TestSpecsShareUnitsInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := st.Stats()
-	// 3 methods × 17 families computed once; figures 6 and 7 hit all of
-	// them again.
-	if s.Puts != s.Misses || s.Hits != 2*s.Puts {
-		t.Fatalf("stats %+v: figures did not reuse table2's units", s)
+	// 3 methods × 17 families, each looked up once and computed once.
+	if s.Misses != 51 || s.Puts != 51 || s.Hits != 0 {
+		t.Fatalf("stats %+v: want 51 misses, 51 puts, 0 hits", s)
+	}
+}
+
+// TestWarmRunReadsEachUnitOnce is the warm-render traffic contract: a
+// rerun of every spec over a filled directory store reads each stored
+// unit exactly once (one hit per entry file), computes nothing and
+// renders the cold output byte for byte.
+func TestWarmRunReadsEachUnitOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every spec twice in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("every spec twice under -race")
+	}
+	dir := t.TempDir()
+	cold, _ := runSpecsWithStore(t, dir, SpecIDs()...)
+	entries, err := filepath.Glob(filepath.Join(dir, "*.dtr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, s := runSpecsWithStore(t, dir, SpecIDs()...)
+	if warm != cold {
+		t.Fatal("warm output differs from the cold render")
+	}
+	if s.Hits != int64(len(entries)) || s.Misses != 0 || s.Puts != 0 || s.Corrupt != 0 {
+		t.Fatalf("warm stats %+v, want %d hits (one per entry) and nothing else", s, len(entries))
+	}
+}
+
+// TestFamilyViewsWithoutPerAppMetrics asserts that the per-app metrics
+// RunFamilyCV attaches change nothing: Table 2 and Figures 6-7 render
+// the same bytes, text and CSV, from a FamilyRun built by hand out of
+// the same results (which falls back to transpose.PerApp), and the
+// memoized RunSpecs render equals the hand-built one.
+func TestFamilyViewsWithoutPerAppMetrics(t *testing.T) {
+	st := resultstore.New()
+	cfg := fastConfig()
+	cfg.Store = st
+	var memo bytes.Buffer
+	if err := RunSpecs(cfg, &memo, SpecTable2, SpecFigure6, SpecFigure7); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := RunFamilyCV(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fr.perApp) != len(MethodNames) {
+		t.Fatalf("RunFamilyCV attached per-app metrics for %d methods, want %d", len(fr.perApp), len(MethodNames))
+	}
+	hand := &FamilyRun{Order: fr.Order, Results: fr.Results}
+	views := func(fr *FamilyRun) (text, csv string) {
+		t2, err := fr.Table2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f6, err := fr.Figure6()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f7, err := fr.Figure7()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tb, cb bytes.Buffer
+		for _, v := range []interface {
+			Render() string
+			WriteCSV(io.Writer) error
+		}{t2, f6, f7} {
+			tb.WriteString(v.Render() + "\n")
+			if err := v.WriteCSV(&cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb.String(), cb.String()
+	}
+	memoText, memoCSV := views(fr)
+	handText, handCSV := views(hand)
+	if handText != memoText || handCSV != memoCSV {
+		t.Fatalf("hand-built FamilyRun renders differently:\n--- memoized\n%s\n--- hand-built\n%s", memoText, handText)
+	}
+	if memo.String() != handText {
+		t.Fatalf("RunSpecs render differs from the hand-built views:\n--- RunSpecs\n%s\n--- hand-built\n%s", memo.String(), handText)
 	}
 }
 

@@ -9,8 +9,8 @@
 // The store sits behind the Store interface with three backends:
 //
 //   - New returns the in-memory store (no persistence): the cache that
-//     lets one run's specs share units — Figures 6 and 7 reuse the
-//     family-CV units Table 2 computed.
+//     lets one run read back units it computed earlier — a report
+//     executes its planned units, then renders from them.
 //   - Open on a directory persists entries as one file per unit, so runs
 //     are resumable across processes and the directory is the merge
 //     point of sharded runs.
@@ -47,9 +47,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // Key addresses one experiment unit. Two runs share a result exactly when
@@ -79,10 +81,25 @@ type Key struct {
 // filesystem- and URL-safe regardless of family and split spellings. It
 // is the file stem of directory entries and the path element of HTTP
 // store requests.
+//
+// The digest input is the fmt rendering "%q/%q/%q/%q/%d/%q" of the
+// fields, built with the strconv appenders fmt itself uses for those
+// verbs, so stems match every entry ever written (TestStemGolden).
 func (k Key) Stem() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%q/%q/%q/%q/%d/%q", k.Snapshot, k.Spec, k.Method, k.Split, k.Seed, k.Budget)
-	return hex.EncodeToString(h.Sum(nil))[:stemLen]
+	b := make([]byte, 0, 16+len(k.Snapshot)+len(k.Spec)+len(k.Method)+len(k.Split)+len(k.Budget)+20)
+	b = strconv.AppendQuote(b, k.Snapshot)
+	b = append(b, '/')
+	b = strconv.AppendQuote(b, k.Spec)
+	b = append(b, '/')
+	b = strconv.AppendQuote(b, k.Method)
+	b = append(b, '/')
+	b = strconv.AppendQuote(b, k.Split)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, k.Seed, 10)
+	b = append(b, '/')
+	b = strconv.AppendQuote(b, k.Budget)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:stemLen/2])
 }
 
 // stemLen is the length of an entry stem in hex characters.
@@ -150,56 +167,11 @@ func EncodeEntry(key Key, payload []byte) ([]byte, error) {
 // ReadEntryKey verifies an entry's framing (magic, version, lengths,
 // checksum) and returns the embedded key and payload. It does not
 // check the key against any expectation — use DecodeEntry when serving a
-// specific requested key.
+// specific requested key. The payload is a subslice of blob, not a copy.
 func ReadEntryKey(blob []byte) (Key, []byte, error) {
-	r := bytes.NewReader(blob)
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return Key{}, nil, fmt.Errorf("resultstore: truncated entry header: %w", err)
-	}
-	if string(magic[:]) != entryMagic {
-		return Key{}, nil, fmt.Errorf("resultstore: not a result entry (magic %q)", magic[:])
-	}
-	var version uint16
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return Key{}, nil, fmt.Errorf("resultstore: reading entry version: %w", err)
-	}
-	if version != entryVersion {
-		return Key{}, nil, fmt.Errorf("resultstore: entry format version %d, this build reads %d", version, entryVersion)
-	}
-	var keyLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &keyLen); err != nil {
-		return Key{}, nil, fmt.Errorf("resultstore: reading key length: %w", err)
-	}
-	// Lengths come from the (possibly hostile) header: check them against
-	// the bytes actually left before allocating anything.
-	if int64(keyLen) > int64(r.Len()) {
-		return Key{}, nil, fmt.Errorf("resultstore: truncated key: header claims %d bytes, %d remain", keyLen, r.Len())
-	}
-	keyJSON := make([]byte, keyLen)
-	if _, err := io.ReadFull(r, keyJSON); err != nil {
-		return Key{}, nil, fmt.Errorf("resultstore: truncated key: %w", err)
-	}
-	var payLen uint64
-	if err := binary.Read(r, binary.LittleEndian, &payLen); err != nil {
-		return Key{}, nil, fmt.Errorf("resultstore: reading payload length: %w", err)
-	}
-	if payLen > uint64(r.Len()) {
-		return Key{}, nil, fmt.Errorf("resultstore: truncated payload: header claims %d bytes, %d remain", payLen, r.Len())
-	}
-	payload := make([]byte, payLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Key{}, nil, fmt.Errorf("resultstore: truncated payload: %w", err)
-	}
-	var wantCRC uint32
-	if err := binary.Read(r, binary.LittleEndian, &wantCRC); err != nil {
-		return Key{}, nil, fmt.Errorf("resultstore: reading checksum: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(keyJSON)
-	crc.Write(payload)
-	if got := crc.Sum32(); got != wantCRC {
-		return Key{}, nil, fmt.Errorf("resultstore: entry checksum mismatch (%08x != %08x): corrupted entry", got, wantCRC)
+	keyJSON, payload, err := readEntry(blob)
+	if err != nil {
+		return Key{}, nil, err
 	}
 	var stored Key
 	if err := json.Unmarshal(keyJSON, &stored); err != nil {
@@ -208,14 +180,82 @@ func ReadEntryKey(blob []byte) (Key, []byte, error) {
 	return stored, payload, nil
 }
 
+// readEntry verifies an entry's framing and returns the embedded key
+// JSON and the payload, both subslices of blob capped at their length,
+// so an append cannot overwrite the bytes after them.
+func readEntry(blob []byte) (keyJSON, payload []byte, err error) {
+	const (
+		versionOff = len(entryMagic)
+		keyLenOff  = versionOff + 2
+		keyOff     = keyLenOff + 4
+	)
+	if len(blob) < versionOff {
+		return nil, nil, fmt.Errorf("resultstore: truncated entry header: %w", io.ErrUnexpectedEOF)
+	}
+	if string(blob[:versionOff]) != entryMagic {
+		return nil, nil, fmt.Errorf("resultstore: not a result entry (magic %q)", blob[:versionOff])
+	}
+	if len(blob) < keyLenOff {
+		return nil, nil, fmt.Errorf("resultstore: reading entry version: %w", io.ErrUnexpectedEOF)
+	}
+	if version := binary.LittleEndian.Uint16(blob[versionOff:]); version != entryVersion {
+		return nil, nil, fmt.Errorf("resultstore: entry format version %d, this build reads %d", version, entryVersion)
+	}
+	if len(blob) < keyOff {
+		return nil, nil, fmt.Errorf("resultstore: reading key length: %w", io.ErrUnexpectedEOF)
+	}
+	// Lengths come from the (possibly hostile) header: check them against
+	// the bytes actually left before slicing.
+	rest := blob[keyOff:]
+	keyLen := binary.LittleEndian.Uint32(blob[keyLenOff:])
+	if uint64(keyLen) > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("resultstore: truncated key: header claims %d bytes, %d remain", keyLen, len(rest))
+	}
+	keyJSON, rest = rest[:keyLen:keyLen], rest[keyLen:]
+	if len(rest) < 8 {
+		return nil, nil, fmt.Errorf("resultstore: reading payload length: %w", io.ErrUnexpectedEOF)
+	}
+	payLen := binary.LittleEndian.Uint64(rest)
+	rest = rest[8:]
+	if payLen > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("resultstore: truncated payload: header claims %d bytes, %d remain", payLen, len(rest))
+	}
+	payload, rest = rest[:payLen:payLen], rest[payLen:]
+	if len(rest) < 4 {
+		return nil, nil, fmt.Errorf("resultstore: reading checksum: %w", io.ErrUnexpectedEOF)
+	}
+	wantCRC := binary.LittleEndian.Uint32(rest)
+	crc := crc32.NewIEEE()
+	crc.Write(keyJSON)
+	crc.Write(payload)
+	if got := crc.Sum32(); got != wantCRC {
+		return nil, nil, fmt.Errorf("resultstore: entry checksum mismatch (%08x != %08x): corrupted entry", got, wantCRC)
+	}
+	return keyJSON, payload, nil
+}
+
 // DecodeEntry verifies one wire entry against the requested key and
-// returns its payload. Any damaged, foreign, version-skewed or
-// key-mismatched blob is an error — callers treat it as a recomputable
-// miss.
+// returns its payload (a subslice of blob). Any damaged, foreign,
+// version-skewed or key-mismatched blob is an error — callers treat it
+// as a recomputable miss.
+//
+// An entry written by EncodeEntry for key embeds exactly
+// json.Marshal(key), so comparing bytes settles the common case without
+// decoding. Marshal maps invalid UTF-8 to U+FFFD, so the byte match is
+// trusted only for valid UTF-8 keys. Any other entry is decoded and
+// compared field by field; both ways accept the same entries
+// (FuzzDecodeEntry).
 func DecodeEntry(key Key, blob []byte) ([]byte, error) {
-	stored, payload, err := ReadEntryKey(blob)
+	keyJSON, payload, err := readEntry(blob)
 	if err != nil {
 		return nil, err
+	}
+	if want, err := json.Marshal(key); err == nil && bytes.Equal(keyJSON, want) && key.validUTF8() {
+		return payload, nil
+	}
+	var stored Key
+	if err := json.Unmarshal(keyJSON, &stored); err != nil {
+		return nil, fmt.Errorf("resultstore: decoding entry key: %w", err)
 	}
 	if stored != key {
 		// A stale or foreign entry under this name (e.g. an old snapshot
@@ -223,6 +263,13 @@ func DecodeEntry(key Key, blob []byte) ([]byte, error) {
 		return nil, fmt.Errorf("resultstore: entry key %+v does not match requested %+v", stored, key)
 	}
 	return payload, nil
+}
+
+// validUTF8 reports whether every string field of k is valid UTF-8, the
+// keys json.Marshal encodes without loss.
+func (k Key) validUTF8() bool {
+	return utf8.ValidString(k.Snapshot) && utf8.ValidString(k.Spec) && utf8.ValidString(k.Method) &&
+		utf8.ValidString(k.Split) && utf8.ValidString(k.Budget)
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -289,7 +336,7 @@ type cache struct {
 }
 
 // New returns an in-memory store (no persistence): the cache that lets
-// one run's specs share units.
+// one run read back the units it computed.
 func New() Store {
 	return &cache{mem: map[Key][]byte{}}
 }

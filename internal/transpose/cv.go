@@ -171,23 +171,34 @@ func AggregateResults(rs []FoldResult) (Aggregate, error) {
 }
 
 // PerApp averages fold metrics per application across splits, preserving
-// the given benchmark order — the layout of Figures 6 and 7.
+// the given benchmark order — the layout of Figures 6 and 7. Each
+// application's mean equals AggregateResults' over its folds: the folds
+// are summed in rs order, then divided by their count.
 func PerApp(rs []FoldResult, order []string) (map[string]Metrics, error) {
-	byApp := map[string][]FoldResult{}
-	for _, r := range rs {
-		byApp[r.App] = append(byApp[r.App], r)
+	idx := make(map[string]int, len(order))
+	for i, app := range order {
+		idx[app] = i
 	}
-	out := make(map[string]Metrics, len(byApp))
-	for _, app := range order {
-		group, ok := byApp[app]
+	sums := make([]Metrics, len(order))
+	counts := make([]int, len(order))
+	for _, r := range rs {
+		i, ok := idx[r.App]
 		if !ok {
+			continue
+		}
+		sums[i].RankCorr += r.Metrics.RankCorr
+		sums[i].Top1Err += r.Metrics.Top1Err
+		sums[i].MeanErr += r.Metrics.MeanErr
+		counts[i]++
+	}
+	out := make(map[string]Metrics, len(order))
+	for _, app := range order {
+		i := idx[app]
+		if counts[i] == 0 {
 			return nil, fmt.Errorf("transpose: no fold results for application %q", app)
 		}
-		agg, err := AggregateResults(group)
-		if err != nil {
-			return nil, err
-		}
-		out[app] = agg.Mean
+		n := float64(counts[i])
+		out[app] = Metrics{RankCorr: sums[i].RankCorr / n, Top1Err: sums[i].Top1Err / n, MeanErr: sums[i].MeanErr / n}
 	}
 	return out, nil
 }

@@ -381,6 +381,44 @@ func TestPerApp(t *testing.T) {
 	}
 }
 
+// TestPerAppMatchesAggregate pins PerApp's one-pass means to
+// AggregateResults over each application's folds, bit for bit: folds
+// interleaved across apps, an app listed twice in order, an app absent
+// from order, and values that do not sum exactly.
+func TestPerAppMatchesAggregate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	apps := []string{"a", "b", "c", "d"}
+	var rs []FoldResult
+	for i := 0; i < 200; i++ {
+		rs = append(rs, FoldResult{App: apps[rng.Intn(len(apps))], Metrics: Metrics{
+			RankCorr: rng.NormFloat64(), Top1Err: rng.ExpFloat64() * 37, MeanErr: rng.Float64() * 1e3,
+		}})
+	}
+	order := []string{"c", "a", "b", "a"}
+	out, err := PerApp(rs, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 {
+		t.Fatalf("PerApp returned %d apps, want 3", len(out))
+	}
+	for _, app := range order {
+		var group []FoldResult
+		for _, r := range rs {
+			if r.App == app {
+				group = append(group, r)
+			}
+		}
+		agg, err := AggregateResults(group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[app] != agg.Mean {
+			t.Fatalf("%s: PerApp %+v, AggregateResults mean %+v", app, out[app], agg.Mean)
+		}
+	}
+}
+
 func TestGoodnessOfFit(t *testing.T) {
 	pred, tgt := syntheticPair(t, 6, 6, 5, 0.01, 10)
 	r2, err := GoodnessOfFit(nil, pred, tgt, nil, func() Predictor { return NNT{} })
