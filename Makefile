@@ -12,6 +12,7 @@ build:
 
 test:
 	$(GO) test -race -timeout 30m ./...
+	GODEBUG=cpu.fma=off $(GO) test ./internal/lanes ./internal/mlp ./internal/gaknn ./internal/transpose
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...

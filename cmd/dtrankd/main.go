@@ -90,10 +90,21 @@ import (
 )
 
 // readHeaderTimeout bounds how long a client may take to send its request
-// headers, so a client that never finishes them cannot hold a connection
-// forever. There is deliberately no write timeout: cold report renders
-// take seconds.
-const readHeaderTimeout = 10 * time.Second
+// headers, and idleTimeout how long a keep-alive connection may wait for
+// its next request, so neither a client that never finishes its headers
+// nor an idle one holds a connection forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer is the one constructor of both listeners' servers, the
+// service and -debug-addr. WriteTimeout stays unset on purpose: it would
+// cut off cold report renders, which take seconds, and pprof profiles,
+// which stream for as long as the client asks.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -234,7 +245,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	logger.Info("serving", "addr", ln.Addr().String())
@@ -255,7 +266,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dmux.Handle("/metrics", srv.Obs().Handler())
-		debugSrv = &http.Server{Handler: dmux, ReadHeaderTimeout: readHeaderTimeout}
+		debugSrv = newHTTPServer(dmux)
 		go func() {
 			if err := debugSrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Warn("debug listener failed", "err", err)

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
 	"net/http"
@@ -245,5 +248,42 @@ func TestDaemonDropsSlowHeaderClients(t *testing.T) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("connection still open %s after a half-sent request line", time.Since(start).Round(time.Second))
+	}
+}
+
+// TestListenerTimeouts pins both listeners' timeouts: newHTTPServer sets
+// the header and idle timeouts and leaves the read and write timeouts
+// unset, and it is the only place in main.go that builds an
+// http.Server, called once for the service and once for -debug-addr.
+func TestListenerTimeouts(t *testing.T) {
+	s := newHTTPServer(nil)
+	if s.ReadHeaderTimeout != readHeaderTimeout || s.IdleTimeout != idleTimeout ||
+		s.ReadTimeout != 0 || s.WriteTimeout != 0 {
+		t.Fatalf("server timeouts: header %v, idle %v, read %v, write %v",
+			s.ReadHeaderTimeout, s.IdleTimeout, s.ReadTimeout, s.WriteTimeout)
+	}
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("timeouts must be set: header %v, idle %v", readHeaderTimeout, idleTimeout)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	literals, calls := 0, 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Server" {
+				literals++
+			}
+		case *ast.CallExpr:
+			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "newHTTPServer" {
+				calls++
+			}
+		}
+		return true
+	})
+	if literals != 1 || calls != 2 {
+		t.Fatalf("main.go builds %d http.Server literals and calls newHTTPServer %d times, want 1 and 2", literals, calls)
 	}
 }

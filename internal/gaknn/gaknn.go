@@ -26,6 +26,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ga"
 	"repro/internal/knn"
+	"repro/internal/lanes"
 	"repro/internal/stats"
 	"repro/internal/transpose"
 )
@@ -173,7 +174,8 @@ func (r rowMajor) row(b int) []float64 { return r.data[b*r.cols : (b+1)*r.cols] 
 type looScratch struct {
 	nbrs []knn.Neighbour
 	// buf holds the nb×nb weighted distances (row-major, symmetric), then
-	// one vote weight per neighbour, then one prediction per target.
+	// one vote weight per neighbour, then one prediction per target, then
+	// the pair table's lane slots of distances.
 	buf []float64
 }
 
@@ -260,12 +262,14 @@ func (p *Predictor) loo(w []float64, pairs *pairTable, scores rowMajor) float64 
 	defer looScratchPool.Put(s)
 	nb := pairs.nb
 	k := min(p.K, nb-1)
-	s.buf = engine.GrowFloats(s.buf, nb*nb+k+scores.cols)
-	dist, votes, pred := s.buf[:nb*nb], s.buf[nb*nb:nb*nb+k], s.buf[nb*nb+k:]
+	slots := pairs.slots()
+	s.buf = engine.GrowFloats(s.buf, nb*nb+k+scores.cols+slots)
+	dist, votes := s.buf[:nb*nb], s.buf[nb*nb:nb*nb+k]
+	pred, out := s.buf[nb*nb+k:][:scores.cols], s.buf[nb*nb+k+scores.cols:]
 	if cap(s.nbrs) < k {
 		s.nbrs = make([]knn.Neighbour, 0, k)
 	}
-	pairs.distances(w, dist)
+	pairs.distances(w, dist, out)
 	total := 0.0
 	for b := 0; b < nb; b++ {
 		nbrs := s.nbrs[:0]
@@ -290,46 +294,47 @@ func (p *Predictor) loo(w []float64, pairs *pairTable, scores rowMajor) float64 
 }
 
 // pairTable holds the characteristic differences zBench[a][j] − zBench[b][j]
-// of every benchmark pair a < b, pairs in (a, b) row-major order, dim
-// values each.
+// of every benchmark pair a < b, pairs in (a, b) row-major order, in the
+// lane-major form lanes.Distances reads: groups of four pairs, j-major
+// within a group, the last group zero-padded.
 type pairTable struct {
 	nb, dim int
 	diff    []float64
 }
 
+// slots is the number of pair slots, four per lane group.
+func (t *pairTable) slots() int { return 4 * lanes.PairGroups(t.nb*(t.nb-1)/2) }
+
 // fill rebuilds t from zBench, reusing its storage.
 func (t *pairTable) fill(zBench [][]float64) {
 	t.nb, t.dim = len(zBench), len(zBench[0])
-	t.diff = engine.GrowFloats(t.diff, t.nb*(t.nb-1)/2*t.dim)
+	t.diff = engine.GrowFloats(t.diff, t.slots()*t.dim)
+	clear(t.diff)
 	p := 0
 	for a, za := range zBench {
 		for _, zb := range zBench[a+1:] {
+			grp := t.diff[(p/4)*4*t.dim:]
 			for j, v := range zb[:t.dim] {
-				t.diff[p+j] = za[j] - v
+				grp[j*4+p%4] = za[j] - v
 			}
-			p += t.dim
+			p++
 		}
 	}
 }
 
 // distances writes the weighted distance of every pair into dist, an
-// nb×nb row-major matrix, at both (a, b) and (b, a). Each pair's sum runs
-// in ascending j from +0 with terms (w_j·d)·d, the chain distance
-// computes, so the values are bit-identical to it.
-func (t *pairTable) distances(w, dist []float64) {
-	nb, dim := t.nb, t.dim
-	w = w[:dim]
+// nb×nb row-major matrix, at both (a, b) and (b, a); out is scratch of
+// t.slots() values. Each pair's sum runs in ascending j from +0 with
+// terms (w_j·d)·d, the chain distance computes, so the values are
+// bit-identical to it.
+func (t *pairTable) distances(w, dist, out []float64) {
+	nb := t.nb
+	lanes.Distances(t.diff, w[:t.dim], out)
 	p := 0
 	for a := 0; a < nb; a++ {
 		for b := a + 1; b < nb; b++ {
-			d := t.diff[p : p+dim : p+dim]
-			s := 0.0
-			for j, x := range d {
-				s += w[j] * x * x
-			}
-			dist[a*nb+b] = math.Sqrt(s)
-			dist[b*nb+a] = dist[a*nb+b]
-			p += dim
+			dist[a*nb+b], dist[b*nb+a] = out[p], out[p]
+			p++
 		}
 	}
 }

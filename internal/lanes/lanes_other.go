@@ -1,0 +1,15 @@
+//go:build !amd64
+
+package lanes
+
+// Only amd64 has the assembly kernels; every other GOARCH runs the Go
+// lane loops.
+const hasAVX2FMA = false
+
+func sigmoidAVX2([]float64) bool { panic("lanes: no assembly kernels on this GOARCH") }
+
+func stepAVX2(w, dw []float64, stride int, in, next, d, b, db, s []float64, lr, mu float64) {
+	panic("lanes: no assembly kernels on this GOARCH")
+}
+
+func distancesAVX2(diff, w, out []float64) { panic("lanes: no assembly kernels on this GOARCH") }

@@ -87,35 +87,3 @@ func TestPredict1BatchErrors(t *testing.T) {
 		t.Fatal("want empty-ensemble error")
 	}
 }
-
-// TestPredictWithScratchMatchesPredict asserts the scratch-reusing single
-// network path matches the allocating one.
-func TestPredictWithScratchMatchesPredict(t *testing.T) {
-	e, queries := trainedEnsemble(t, 1)
-	n := e.Nets[0]
-	f := n.NewForward()
-	for _, q := range queries {
-		want, err := n.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := n.PredictWith(f, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != want[0] {
-			t.Fatalf("PredictWith %v, Predict %v", got[0], want[0])
-		}
-	}
-	// Scratch from an incompatible topology is rejected.
-	cfg := DefaultConfig(1)
-	cfg.Epochs = 5
-	cfg.Hidden = []int{7}
-	other, err := Train([][]float64{{1, 2}, {2, 1}, {3, 2}}, [][]float64{{1}, {2}, {3}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.PredictWith(other.NewForward(), queries[0]); err == nil {
-		t.Fatal("want topology-mismatch error")
-	}
-}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/la"
+	"repro/internal/lanes"
 )
 
 // Ensemble averages the predictions of independently initialised networks
@@ -228,10 +229,7 @@ func (e *Ensemble) Predict1Batch(inputs [][]float64, dst []float64) error {
 			_ = cur.MulTAddInto(nxt, ly.wm)
 			if !ly.Linear {
 				for i := 0; i < nt; i++ {
-					row := nxt.RowView(i)
-					for j, s := range row {
-						row[j] = sigmoid(s)
-					}
+					lanes.Sigmoids(nxt.RowView(i))
 				}
 			}
 			cur = nxt

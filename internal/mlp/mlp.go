@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/la"
+	"repro/internal/lanes"
 )
 
 // ErrNoData is returned when Train receives an empty training set.
@@ -236,19 +237,27 @@ func (c Config) hiddenSizes(nIn, nOut int) []int {
 }
 
 // trainPad is the pooled per-trainer scratch: the normalised training
-// set, the instance order, two per-layer activation sets and the delta
-// buffers. The fused trainer ping-pongs between the activation sets: a
-// layer's update reads one sample's activations while its forward pass
-// writes the next sample's. Pooled via engine.Scratch so repeated fits
-// (one per CV fold unit) stop allocating once the pool is warm; every
-// field is fully rebuilt from the training set before use, so reuse
-// cannot change results.
+// set, the instance order, two per-layer activation sets, the delta
+// buffers and the first layer's lane copy. The fused trainer ping-pongs
+// between the activation sets: a layer's update reads one sample's
+// activations while its forward pass writes the next sample's. Pooled
+// via engine.Scratch so repeated fits (one per CV fold unit) stop
+// allocating once the pool is warm; every field is fully rebuilt from
+// the training set before use, so reuse cannot change results.
 type trainPad struct {
 	xFlat, yFlat []float64
 	xs, ys       [][]float64
 	order        []int
 	acts         [2][][]float64
 	deltas       [][]float64
+	// The first layer trains from a lane copy of its state: weights and
+	// momenta k-major, biases and their momenta, and the units' deltas
+	// and forward sums, the units padded with zeros to a multiple of
+	// four, all views of one backing array. Back-propagation never reads
+	// that layer, so only lanes.Step touches the copy until Train writes
+	// it back.
+	lane                 []float64
+	wT, dwT, b, db, d, s []float64
 }
 
 var trainPadPool = engine.NewScratch(func() *trainPad { return &trainPad{} })
@@ -288,6 +297,41 @@ func (p *trainPad) buffers(net *Network) {
 	p.deltas = growRows(p.deltas, want)
 	for l, ly := range net.Layers {
 		p.deltas[l+1] = engine.GrowFloats(p.deltas[l+1], len(ly.W))
+	}
+}
+
+// loadLanes copies ly's weights, biases and their momenta into the
+// pad's lane form, zero-padded to a multiple of four units.
+func (p *trainPad) loadLanes(ly *layer) {
+	units, n := len(ly.B), len(ly.W[0])
+	stride := (units + 3) &^ 3
+	nw := n * stride
+	p.lane = engine.GrowFloats(p.lane, 2*nw+4*stride)
+	clear(p.lane)
+	p.wT, p.dwT = p.lane[:nw:nw], p.lane[nw:2*nw:2*nw]
+	v := p.lane[2*nw:]
+	p.b, p.db = v[:stride:stride], v[stride:2*stride:2*stride]
+	p.d, p.s = v[2*stride:3*stride:3*stride], v[3*stride:]
+	copy(p.b, ly.B)
+	copy(p.db, ly.dB)
+	for j := 0; j < units; j++ {
+		for k := 0; k < n; k++ {
+			p.wT[k*stride+j] = ly.wf[j*n+k]
+			p.dwT[k*stride+j] = ly.dwf[j*n+k]
+		}
+	}
+}
+
+// storeLanes copies the lane form back into ly's own storage.
+func (p *trainPad) storeLanes(ly *layer) {
+	units, n, stride := len(ly.B), len(ly.W[0]), len(p.b)
+	copy(ly.B, p.b)
+	copy(ly.dB, p.db)
+	for j := 0; j < units; j++ {
+		for k := 0; k < n; k++ {
+			ly.wf[j*n+k] = p.wT[k*stride+j]
+			ly.dwf[j*n+k] = p.dwT[k*stride+j]
+		}
 	}
 }
 
@@ -334,11 +378,11 @@ func newNetwork(inputs, targets [][]float64, hidden []int, rng *rand.Rand) *Netw
 // forward pass, the deltas from the weights before the update, then one
 // momentum step on every weight and bias. It walks the weights once per
 // sample: each unit's update is fused with the next sample's forward pass
-// through the updated row (layer.step). Every weight and activation sees
-// the same operations in the same order as with three separate phases, so
-// trained weights are bit-identical to them. All scratch is pooled, so a
-// warm trainer's allocation count is independent of epochs and sample
-// count.
+// through the updated row (trainPad.step). Every weight and activation
+// sees the same operations in the same order as with three separate
+// phases, so trained weights are bit-identical to them. All scratch is
+// pooled, so a warm trainer's allocation count is independent of epochs
+// and sample count.
 func Train(inputs, targets [][]float64, cfg Config) (*Network, error) {
 	if _, _, err := checkTrainingSet(inputs, targets); err != nil {
 		return nil, err
@@ -354,6 +398,7 @@ func Train(inputs, targets [][]float64, cfg Config) (*Network, error) {
 	defer trainPadPool.Put(pad)
 	pad.instances(net, inputs, targets)
 	pad.buffers(net)
+	pad.loadLanes(&net.Layers[0])
 	order := pad.order
 	shuffle := func() {
 		if cfg.Shuffle {
@@ -380,10 +425,11 @@ func Train(inputs, targets [][]float64, cfg Config) (*Network, error) {
 			// wraps to the first instance: that forward pass is discarded,
 			// and it leaves the weights exactly as a plain update would.
 			nxt[0] = pad.xs[order[(pos+1)%len(order)]]
-			net.step(cur, nxt, pad.deltas, lr, cfg.Momentum)
+			pad.step(net, cur, nxt, lr, cfg.Momentum)
 			cur, nxt = nxt, cur
 		}
 	}
+	pad.storeLanes(&net.Layers[0])
 	return net, nil
 }
 
@@ -397,7 +443,9 @@ func (n *Network) newActivations() [][]float64 {
 	return acts
 }
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+// sigmoid is the hidden units' activation. Layers apply it with
+// lanes.Sigmoids, which is bit-identical.
+func sigmoid(x float64) float64 { return lanes.Sigmoid(x) }
 
 // applyLayer runs one layer over in/out: bias preload, fused
 // matrix-vector accumulation in ascending-k order, then the activation.
@@ -419,9 +467,7 @@ func applyLayer(ly *layer, in, out []float64) {
 		}
 	}
 	if !ly.Linear {
-		for j, s := range out {
-			out[j] = sigmoid(s)
-		}
+		lanes.Sigmoids(out)
 	}
 }
 
@@ -462,10 +508,18 @@ func (ly *layer) backpropDeltas(act, dNext, dst []float64) {
 // step applies one sample's momentum update to every layer and runs the
 // next sample's forward pass through the updated weights in the same
 // pass: cur holds the sample's activations, nxt[0] the next sample's
-// input, and nxt receives the next sample's activations.
-func (n *Network) step(cur, nxt, deltas [][]float64, lr, mu float64) {
-	for l := range n.Layers {
-		n.Layers[l].step(cur[l], nxt[l], deltas[l+1], nxt[l+1], lr, mu)
+// input, and nxt receives the next sample's activations. The first
+// layer steps in lanes, four units at a time, from the pad's k-major
+// copy; the others step row by row.
+func (p *trainPad) step(net *Network, cur, nxt [][]float64, lr, mu float64) {
+	copy(p.d, p.deltas[1])
+	lanes.Step(p.wT, p.dwT, cur[0], nxt[0], p.d, p.b, p.db, p.s, lr, mu)
+	if !net.Layers[0].Linear {
+		lanes.Sigmoids(p.s)
+	}
+	copy(nxt[1], p.s)
+	for l := 1; l < len(net.Layers); l++ {
+		net.Layers[l].step(cur[l], nxt[l], p.deltas[l+1], nxt[l+1], lr, mu)
 	}
 }
 
@@ -479,33 +533,11 @@ func (n *Network) step(cur, nxt, deltas [][]float64, lr, mu float64) {
 // its sum, a sigmoid layer activates them all, as applyLayer does. These
 // are the operations of a momentum update followed by applyLayer, in the
 // same order on the same operands, so weights and activations are
-// bit-identical to the two separate passes. Four units share each pass
-// over k (step4): their add chains are independent, so they overlap
-// instead of each waiting on the one before. Two leftover units share
-// one pass too (step2); a last unit (and the one-unit output layer)
-// takes the single-row form of the same loop.
+// bit-identical to the two separate passes.
 func (ly *layer) step(in, next, d, out []float64, lr, mu float64) {
 	n := len(in)
 	next = next[:n]
-	units := len(ly.B)
-	j := 0
-	for ; j+4 <= units; j += 4 {
-		g := [4]float64{lr * d[j], lr * d[j+1], lr * d[j+2], lr * d[j+3]}
-		s := [4]float64{
-			ly.stepBias(j, g[0], mu), ly.stepBias(j+1, g[1], mu),
-			ly.stepBias(j+2, g[2], mu), ly.stepBias(j+3, g[3], mu),
-		}
-		step4(ly.wf[j*n:(j+4)*n], ly.dwf[j*n:(j+4)*n], in, next, &g, mu, &s)
-		out[j], out[j+1], out[j+2], out[j+3] = s[0], s[1], s[2], s[3]
-	}
-	if j+2 <= units {
-		g := [2]float64{lr * d[j], lr * d[j+1]}
-		s := [2]float64{ly.stepBias(j, g[0], mu), ly.stepBias(j+1, g[1], mu)}
-		step2(ly.wf[j*n:(j+2)*n], ly.dwf[j*n:(j+2)*n], in, next, &g, mu, &s)
-		out[j], out[j+1] = s[0], s[1]
-		j += 2
-	}
-	for ; j < units; j++ {
+	for j := range ly.B {
 		g := lr * d[j]
 		s := ly.stepBias(j, g, mu)
 		w, dw := ly.row(j, n)
@@ -518,59 +550,8 @@ func (ly *layer) step(in, next, d, out []float64, lr, mu float64) {
 		out[j] = s
 	}
 	if !ly.Linear {
-		for j, s := range out {
-			out[j] = sigmoid(s)
-		}
+		lanes.Sigmoids(out)
 	}
-}
-
-// step4Go is the step of four units at once: w and dw hold their weight
-// and momentum rows back to back (4·len(in) values each), grad their
-// gradient scales lr·d_j, and sums their updated biases on entry and
-// their forward sums on exit. It is the portable form of step4.
-func step4Go(w, dw, in, next []float64, grad *[4]float64, mu float64, sums *[4]float64) {
-	n := len(in)
-	next = next[:n]
-	w0, w1, w2, w3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
-	dw0, dw1, dw2, dw3 := dw[:n], dw[n:][:n], dw[2*n:][:n], dw[3*n:][:n]
-	g0, g1, g2, g3 := grad[0], grad[1], grad[2], grad[3]
-	s0, s1, s2, s3 := sums[0], sums[1], sums[2], sums[3]
-	for k, x := range in {
-		xn := next[k]
-		u0 := g0*x + mu*dw0[k]
-		u1 := g1*x + mu*dw1[k]
-		u2 := g2*x + mu*dw2[k]
-		u3 := g3*x + mu*dw3[k]
-		v0, v1, v2, v3 := w0[k]+u0, w1[k]+u1, w2[k]+u2, w3[k]+u3
-		w0[k], w1[k], w2[k], w3[k] = v0, v1, v2, v3
-		dw0[k], dw1[k], dw2[k], dw3[k] = u0, u1, u2, u3
-		s0 += v0 * xn
-		s1 += v1 * xn
-		s2 += v2 * xn
-		s3 += v3 * xn
-	}
-	sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
-}
-
-// step2Go is step4Go for two units.
-func step2Go(w, dw, in, next []float64, grad *[2]float64, mu float64, sums *[2]float64) {
-	n := len(in)
-	next = next[:n]
-	w0, w1 := w[:n], w[n:][:n]
-	dw0, dw1 := dw[:n], dw[n:][:n]
-	g0, g1 := grad[0], grad[1]
-	s0, s1 := sums[0], sums[1]
-	for k, x := range in {
-		xn := next[k]
-		u0 := g0*x + mu*dw0[k]
-		u1 := g1*x + mu*dw1[k]
-		v0, v1 := w0[k]+u0, w1[k]+u1
-		w0[k], w1[k] = v0, v1
-		dw0[k], dw1[k] = u0, u1
-		s0 += v0 * xn
-		s1 += v1 * xn
-	}
-	sums[0], sums[1] = s0, s1
 }
 
 // row returns unit j's weight and momentum rows (n wide) from the flat
@@ -633,19 +614,6 @@ func (n *Network) Predict(x []float64) ([]float64, error) {
 	f := n.NewForward()
 	n.predictInto(f, x, out)
 	return out, nil
-}
-
-// PredictWith is Predict with caller-owned scratch: the returned slice is
-// f's internal output buffer, overwritten by the next call.
-func (n *Network) PredictWith(f *Forward, x []float64) ([]float64, error) {
-	if len(x) != n.NIn {
-		return nil, fmt.Errorf("mlp: Predict with %d attributes, network has %d", len(x), n.NIn)
-	}
-	if !f.compatible(n) {
-		return nil, fmt.Errorf("mlp: Forward scratch does not fit this network topology")
-	}
-	n.predictInto(f, x, f.out)
-	return f.out, nil
 }
 
 // Predict1 is Predict for single-output networks, returning the scalar.

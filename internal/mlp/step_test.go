@@ -1,91 +1,92 @@
 package mlp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
-
-// stepCase is one random input to a multi-unit step kernel: units rows
-// of weights and momenta n wide, the inputs and next inputs, gradient
-// scales, and updated biases.
-type stepCase struct {
-	w, dw, in, next, grad, sums []float64
-	mu                          float64
-}
-
-func newStepCase(rng *rand.Rand, units, n int) stepCase {
-	vec := func(m int, scale float64) []float64 {
-		v := make([]float64, m)
-		for i := range v {
-			v[i] = (rng.Float64() - 0.5) * scale
-		}
-		return v
-	}
-	return stepCase{
-		w: vec(units*n, 1), dw: vec(units*n, 0.1),
-		in: vec(n, 2), next: vec(n, 2),
-		grad: vec(units, 0.3), sums: vec(units, 1),
-		mu: 0.2,
-	}
-}
-
-func (c stepCase) clone() stepCase {
-	return stepCase{
-		w: slices.Clone(c.w), dw: slices.Clone(c.dw),
-		in: c.in, next: c.next,
-		grad: c.grad, sums: slices.Clone(c.sums), mu: c.mu,
-	}
-}
 
 func requireSameBits(t *testing.T, ctx, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: %s[%d] = %v (%#x), Go kernel %v (%#x)",
+			t.Fatalf("%s: %s[%d] = %v (%#x), row step %v (%#x)",
 				ctx, what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
 
-func (c stepCase) requireSame(t *testing.T, ctx string, want stepCase) {
-	t.Helper()
-	requireSameBits(t, ctx, "w", c.w, want.w)
-	requireSameBits(t, ctx, "dw", c.dw, want.dw)
-	requireSameBits(t, ctx, "sums", c.sums, want.sums)
+func randFill(rng *rand.Rand, v []float64, scale float64) {
+	for i := range v {
+		v[i] = (rng.Float64() - 0.5) * scale
+	}
+}
+
+// randomLayer returns a units×n layer with random weights, biases and
+// momenta.
+func randomLayer(rng *rand.Rand, units, n int, linear bool) layer {
+	ly := newLayer(units, n, linear)
+	randFill(rng, ly.wf, 1)
+	randFill(rng, ly.dwf, 0.1)
+	randFill(rng, ly.B, 1)
+	randFill(rng, ly.dB, 0.1)
+	return ly
 }
 
 // stepWidths covers the served shapes (n = 28 hidden-layer inputs, 14
-// output-layer inputs) and the odd-n tail of the two-k kernels.
+// output-layer inputs) and short rows.
 var stepWidths = []int{1, 2, 3, 14, 28}
 
-// TestStep4MatchesGo pins step4 (the SSE2 kernel on amd64, step4Go
-// itself on other GOARCHes) to step4Go bit for bit,
-// over several steps so updated weights and momenta feed the next one.
-func TestStep4MatchesGo(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range stepWidths {
-		got := newStepCase(rng, 4, n)
-		want := got.clone()
-		for it := 0; it < 5; it++ {
-			step4(got.w, got.dw, got.in, got.next, (*[4]float64)(got.grad), got.mu, (*[4]float64)(got.sums))
-			step4Go(want.w, want.dw, want.in, want.next, (*[4]float64)(want.grad), want.mu, (*[4]float64)(want.sums))
-			got.requireSame(t, "step4", want)
+// requireLaneStepMatchesRows pins the trainer's first-layer step — the
+// layer's lane copy stepped by lanes.Step, AVX2 or Go — to the layer's
+// own row-by-row step bit for bit, over several steps so updated
+// weights, biases and momenta feed the next one, for a sigmoid and a
+// linear layer of the given unit count.
+func requireLaneStepMatchesRows(t *testing.T, units int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for _, linear := range []bool{false, true} {
+		for _, n := range stepWidths {
+			ctx := fmt.Sprintf("units=%d n=%d linear=%v", units, n, linear)
+			got := randomLayer(rng, units, n, linear)
+			want := randomLayer(rng, units, n, linear)
+			copy(want.wf, got.wf)
+			copy(want.dwf, got.dwf)
+			copy(want.B, got.B)
+			copy(want.dB, got.dB)
+			net := &Network{Layers: []layer{got}}
+			p := &trainPad{}
+			p.loadLanes(&net.Layers[0])
+			in, next := make([]float64, n), make([]float64, n)
+			d, out, wantOut := make([]float64, units), make([]float64, units), make([]float64, units)
+			p.deltas = [][]float64{nil, d}
+			for it := 0; it < 5; it++ {
+				randFill(rng, in, 2)
+				randFill(rng, next, 2)
+				randFill(rng, d, 1)
+				p.step(net, [][]float64{in, nil}, [][]float64{next, out}, 0.3, 0.2)
+				want.step(in, next, d, wantOut, 0.3, 0.2)
+				step := fmt.Sprintf("%s step %d", ctx, it)
+				requireSameBits(t, step, "out", out, wantOut)
+				p.storeLanes(&net.Layers[0])
+				requireSameBits(t, step, "w", net.Layers[0].wf, want.wf)
+				requireSameBits(t, step, "dw", net.Layers[0].dwf, want.dwf)
+				requireSameBits(t, step, "b", net.Layers[0].B, want.B)
+				requireSameBits(t, step, "db", net.Layers[0].dB, want.dB)
+			}
 		}
 	}
 }
 
-// TestStep2MatchesGo is TestStep4MatchesGo for the two-unit kernel.
+// TestStep4MatchesGo pins the lane step of a four-unit layer, one full
+// lane group, to the scalar row step.
+func TestStep4MatchesGo(t *testing.T) {
+	requireLaneStepMatchesRows(t, 4, 1)
+}
+
+// TestStep2MatchesGo is TestStep4MatchesGo for a two-unit layer, a lane
+// group padded with two zero units.
 func TestStep2MatchesGo(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range stepWidths {
-		got := newStepCase(rng, 2, n)
-		want := got.clone()
-		for it := 0; it < 5; it++ {
-			step2(got.w, got.dw, got.in, got.next, (*[2]float64)(got.grad), got.mu, (*[2]float64)(got.sums))
-			step2Go(want.w, want.dw, want.in, want.next, (*[2]float64)(want.grad), want.mu, (*[2]float64)(want.sums))
-			got.requireSame(t, "step2", want)
-		}
-	}
+	requireLaneStepMatchesRows(t, 2, 2)
 }

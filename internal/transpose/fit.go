@@ -249,8 +249,7 @@ func (s *SPLT) Fit(f Fold) (Model, error) {
 
 // MLPTModel is the trained MLPᵀ artifact: the network (ensemble) mapping a
 // machine's benchmark scores to the application's score on that machine,
-// plus the target half of the fold it predicts. The network itself is
-// target-independent — PredictMachine applies it to any machine's scores.
+// plus the target half of the fold it predicts.
 type MLPTModel struct {
 	// Net is the trained network ensemble.
 	Net *mlp.Ensemble
@@ -277,12 +276,6 @@ func (m *MLPTModel) PredictTargets(dst []float64) error {
 		return fmt.Errorf("transpose: MLP^T predict: %w", err)
 	}
 	return nil
-}
-
-// PredictMachine applies the trained network to one machine's benchmark
-// scores — e.g. a machine outside the fitted target set.
-func (m *MLPTModel) PredictMachine(scores []float64) (float64, error) {
-	return m.Net.Predict1(scores)
 }
 
 // Fit implements Fitter. Each predictive machine is one training instance:
