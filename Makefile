@@ -4,7 +4,7 @@
 GO ?= go
 DATE ?= $(shell date +%Y-%m-%d)
 
-.PHONY: build test bench bench-json bench-gate examples serve serve-smoke cache-smoke shard-smoke worksteal-smoke loadtest-smoke metrics-smoke report-smoke lint staticcheck ci
+.PHONY: build test fuzz bench bench-json bench-gate examples serve serve-smoke cache-smoke shard-smoke worksteal-smoke loadtest-smoke metrics-smoke report-smoke lint staticcheck ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,21 @@ build:
 test:
 	$(GO) test -race -timeout 30m ./...
 	GODEBUG=cpu.fma=off $(GO) test ./internal/lanes ./internal/mlp ./internal/gaknn ./internal/transpose
+
+# Each fuzz target runs briefly on top of its committed seed corpus, as
+# the CI test job does; plain `go test` replays the corpora only.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzInmMatches$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzQueryShape$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeModel$$' -fuzztime=10s ./internal/transpose
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEntryKey$$' -fuzztime=10s ./internal/resultstore
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEntry$$' -fuzztime=10s ./internal/resultstore
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePayload$$' -fuzztime=10s ./internal/resultstore
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/dataset
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRankRequest$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzWorkRequest$$' -fuzztime=10s ./internal/coord
+	$(GO) test -run='^$$' -fuzz='^FuzzSigmoidLanes$$' -fuzztime=10s ./internal/lanes
+	$(GO) test -run='^$$' -fuzz='^FuzzLooLanes$$' -fuzztime=10s ./internal/gaknn
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
@@ -109,4 +124,4 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; \
 	fi
 
-ci: lint staticcheck build test bench bench-gate examples serve-smoke cache-smoke shard-smoke worksteal-smoke loadtest-smoke metrics-smoke report-smoke
+ci: lint staticcheck build test fuzz bench bench-gate examples serve-smoke cache-smoke shard-smoke worksteal-smoke loadtest-smoke metrics-smoke report-smoke

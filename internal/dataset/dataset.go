@@ -374,20 +374,6 @@ func (d *Matrix) Families() []string {
 	return out
 }
 
-// Years returns the distinct release years, ascending.
-func (d *Matrix) Years() []int {
-	seen := make(map[int]bool)
-	for _, m := range d.Machines {
-		seen[m.Year] = true
-	}
-	out := make([]int, 0, len(seen))
-	for y := range seen {
-		out = append(out, y)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // FamilySplit returns (target, predictive) views for processor-family
 // cross-validation: machines of the named family versus all others. Both
 // views share the receiver's score storage.

@@ -168,10 +168,6 @@ func TestFamiliesYears(t *testing.T) {
 	if len(fams) != 2 || fams[0] != "Fam1" || fams[1] != "Fam2" {
 		t.Fatalf("Families = %v", fams)
 	}
-	years := d.Years()
-	if len(years) != 3 || years[0] != 2007 || years[2] != 2009 {
-		t.Fatalf("Years = %v", years)
-	}
 }
 
 func TestFamilySplit(t *testing.T) {

@@ -83,6 +83,22 @@ func TestDecodeRejectsInconsistentPayload(t *testing.T) {
 	check("table shape mismatch", func(b *Model) { b.nt = b.nt + 1 })
 	// An empty vote divides 0 by 0: every prediction would be NaN.
 	check("no neighbours", func(b *Model) { b.Neighbours = nil })
+	check("NaN distance", func(b *Model) { b.Neighbours[0].Distance = math.NaN() })
+	// Each of these used to decode and predict NaN or +Inf.
+	check("+Inf distance", func(b *Model) {
+		for i := range b.Neighbours {
+			b.Neighbours[i].Distance = math.Inf(1)
+		}
+	})
+	check("distance whose square overflows", func(b *Model) { b.Neighbours[0].Distance = 1e200 })
+	check("NaN target score", func(b *Model) { b.tgt.data[b.Neighbours[0].Index*b.tgt.cols] = math.NaN() })
+	check("+Inf target score", func(b *Model) { b.tgt.data[0] = math.Inf(1) })
+	check("zero target score", func(b *Model) { b.tgt.data[len(b.tgt.data)-1] = 0 })
+	check("negative target score", func(b *Model) { b.tgt.data[1] = -2 })
+	check("numerator overflow", func(b *Model) {
+		b.Neighbours[0].Distance = 0
+		b.tgt.data[b.Neighbours[0].Index*b.tgt.cols] = math.MaxFloat64
+	})
 	check("more neighbours than benchmarks", func(b *Model) {
 		rows := len(b.tgt.data) / b.tgt.cols
 		for len(b.Neighbours) <= rows {

@@ -138,16 +138,34 @@ func decodeModel(r io.Reader) (transpose.Model, error) {
 		if n.Index < 0 || n.Index >= rows {
 			return nil, fmt.Errorf("gaknn payload neighbour %d outside %d benchmarks", n.Index, rows)
 		}
-		if math.IsNaN(n.Distance) || n.Distance < 0 {
+		// A vote weight is 1/(d·d+ε): a non-finite denominator makes it 0,
+		// and a vote of zero weights divides 0 by 0.
+		if !(n.Distance >= 0) || math.IsInf(n.Distance*n.Distance+voteEps, 1) {
 			return nil, fmt.Errorf("gaknn payload neighbour distance %v", n.Distance)
 		}
 	}
-	return &Model{
+	for _, v := range w.Tgt {
+		if !(v > 0 && v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("gaknn payload target score %v is not finite and positive", v)
+		}
+	}
+	m := &Model{
 		Weights:    w.Weights,
 		Neighbours: w.Neighbours,
 		tgt:        rowMajor{data: w.Tgt, cols: w.Cols},
 		nt:         w.NT,
-	}, nil
+	}
+	// Finite weights and scores can still overflow a numerator.
+	pred := make([]float64, m.nt)
+	if err := m.PredictTargets(pred); err != nil {
+		return nil, err
+	}
+	for t, v := range pred {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil, fmt.Errorf("gaknn payload predicts %v on target %d", v, t)
+		}
+	}
+	return m, nil
 }
 
 func init() {
@@ -172,11 +190,13 @@ func (r rowMajor) row(b int) []float64 { return r.data[b*r.cols : (b+1)*r.cols] 
 // Fitness evaluations run concurrently across genomes; each borrows one
 // scratch, fills it from its inputs, and returns it.
 type looScratch struct {
-	nbrs []knn.Neighbour
-	// buf holds the nb×nb weighted distances (row-major, symmetric), then
-	// one vote weight per neighbour, then one prediction per target, then
-	// the pair table's lane slots of distances.
+	// buf holds the ls×ls distance matrix, then the ls×ls matrix of each
+	// benchmark's candidate distances by rank, then the vote weights,
+	// then the pair table's lane slots of distances.
 	buf []float64
+	// ranks is the ls×ls rank matrix; order holds each benchmark's
+	// candidates by rank, ls to a row.
+	ranks, order []int64
 }
 
 var looScratchPool = engine.NewScratch(func() *looScratch { return &looScratch{} })
@@ -232,11 +252,11 @@ func (p *Predictor) Fit(f transpose.Fold) (transpose.Model, error) {
 	// pair differences do not depend on the weights, so every fitness
 	// evaluation of the fit shares one table.
 	var pairs pairTable
-	pairs.fill(zBench)
+	pairs.fill(zBench, scores)
 	cfg := p.GA
 	cfg.Genes = dim
 	res, err := ga.Run(func(w []float64) float64 {
-		return p.loo(w, &pairs, scores)
+		return p.loo(w, &pairs)
 	}, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("gaknn: weight learning: %w", err)
@@ -251,63 +271,80 @@ func (p *Predictor) Fit(f transpose.Fold) (transpose.Model, error) {
 }
 
 // loo is the GA fitness: mean relative error of leave-one-out kNN
-// prediction over the training benchmarks and all target machines. Each
-// pair's weighted distance is computed once and mirrored: a−b = −(b−a)
-// and (w·(−d))·(−d) = (w·d)·d hold exactly, so row b of the matrix is
-// bit for bit what a per-benchmark query from b computes. Buffers come
-// from a per-worker scratch pool, so one evaluation allocates nothing
-// once the pool is warm.
-func (p *Predictor) loo(w []float64, pairs *pairTable, scores rowMajor) float64 {
+// prediction over the training benchmarks and all target machines.
+//
+// The weighted distances fill an ls×ls matrix, ls = nb rounded up to a
+// multiple of four, with NaN on the diagonal and in the padding. Row b
+// holds b's distance to every candidate. The matrix is symmetric, so
+// column b equals row b, and lanes.Ranks ranks b's candidates under
+// (Distance, Index), leaving b itself out. Writing each candidate and
+// its distance into the slot of its rank lists b's neighbours in the
+// order knn.Insert keeps them. A NaN distance leaves its row without
+// that order, so the fitness is then NaN; Fit never meets one, as its
+// z-scores are finite and its genes non-negative. lanes.VoteErrors runs
+// vote on every benchmark's first k slots and sums the relative errors
+// in (benchmark, target) order. Buffers come from a per-worker scratch
+// pool, so one evaluation allocates nothing once the pool is warm.
+func (p *Predictor) loo(w []float64, pairs *pairTable) float64 {
 	s := looScratchPool.Get()
 	defer looScratchPool.Put(s)
-	nb := pairs.nb
-	k := min(p.K, nb-1)
-	slots := pairs.slots()
-	s.buf = engine.GrowFloats(s.buf, nb*nb+k+scores.cols+slots)
-	dist, votes := s.buf[:nb*nb], s.buf[nb*nb:nb*nb+k]
-	pred, out := s.buf[nb*nb+k:][:scores.cols], s.buf[nb*nb+k+scores.cols:]
-	if cap(s.nbrs) < k {
-		s.nbrs = make([]knn.Neighbour, 0, k)
-	}
-	pairs.distances(w, dist, out)
-	total := 0.0
-	for b := 0; b < nb; b++ {
-		nbrs := s.nbrs[:0]
-		for i, d := range dist[b*nb : (b+1)*nb] {
-			// Candidates arrive in ascending index, so once k are held a
-			// candidate enters only if strictly closer than the k-th: a
-			// tie loses on index. This is knn.Insert's own test, inlined.
-			if i == b || len(nbrs) == k && !(d < nbrs[k-1].Distance) {
-				continue
-			}
-			nbrs = knn.Insert(nbrs, k, knn.Neighbour{Index: i, Distance: d})
-		}
-		vote(pred, nbrs, votes, scores)
-		for t, actual := range scores.row(b) {
-			total += math.Abs(pred[t]-actual) / actual
-		}
-	}
-	if nb*scores.cols == 0 {
+	nb, nt := pairs.nb, pairs.nt
+	if nt == 0 {
 		return math.Inf(1)
 	}
-	return total / float64(nb*scores.cols)
+	ls := laneStride(nb)
+	k := min(p.K, nb-1)
+	s.buf = engine.GrowFloats(s.buf, 2*ls*ls+ls+pairs.slots())
+	dist, near := s.buf[:ls*ls], s.buf[ls*ls:][:ls*ls]
+	weights, out := s.buf[2*ls*ls:][:ls], s.buf[2*ls*ls+ls:]
+	if cap(s.ranks) < ls*ls {
+		s.ranks, s.order = make([]int64, ls*ls), make([]int64, ls*ls)
+	}
+	ranks, order := s.ranks[:ls*ls], s.order[:ls*ls]
+	if pairs.distances(w, dist, out) {
+		return math.NaN()
+	}
+	lanes.Ranks(dist, ls, ranks)
+	for b := 0; b < nb; b++ {
+		row, nd, ord := dist[b*ls:][:nb], near[b*ls:][:ls], order[b*ls:][:ls]
+		// b's own cell is NaN and ranks ls−1, a slot no neighbour reaches.
+		for i, r := range ranks[b*ls:][:nb] {
+			ord[r], nd[r] = int64(i), row[i]
+		}
+	}
+	total := lanes.VoteErrors(near[:nb*ls], order[:nb*ls], ls, k, pairs.scores, pairs.stride, nt, voteEps, weights)
+	return total / float64(nb*nt)
 }
 
-// pairTable holds the characteristic differences zBench[a][j] − zBench[b][j]
-// of every benchmark pair a < b, pairs in (a, b) row-major order, in the
+// laneStride is n rounded up to a multiple of four, the lane group.
+func laneStride(n int) int { return (n + 3) &^ 3 }
+
+// pairTable holds what every fitness evaluation of one fit shares. diff
+// holds the characteristic differences zBench[a][j] − zBench[b][j] of
+// every benchmark pair a < b, pairs in (a, b) row-major order, in the
 // lane-major form lanes.Distances reads: groups of four pairs, j-major
-// within a group, the last group zero-padded.
+// within a group, the last group zero-padded. scores is the nb × nt
+// target score table with its rows zero-padded to stride columns, a
+// multiple of four, the form lanes.VoteErrors reads.
 type pairTable struct {
-	nb, dim int
-	diff    []float64
+	nb, dim    int
+	diff       []float64
+	scores     []float64
+	stride, nt int
 }
 
 // slots is the number of pair slots, four per lane group.
 func (t *pairTable) slots() int { return 4 * lanes.PairGroups(t.nb*(t.nb-1)/2) }
 
-// fill rebuilds t from zBench, reusing its storage.
-func (t *pairTable) fill(zBench [][]float64) {
+// fill rebuilds t from zBench and scores, reusing its storage.
+func (t *pairTable) fill(zBench [][]float64, scores rowMajor) {
 	t.nb, t.dim = len(zBench), len(zBench[0])
+	t.nt, t.stride = scores.cols, laneStride(scores.cols)
+	t.scores = engine.GrowFloats(t.scores, t.nb*t.stride)
+	clear(t.scores)
+	for b := 0; b < t.nb; b++ {
+		copy(t.scores[b*t.stride:], scores.row(b))
+	}
 	t.diff = engine.GrowFloats(t.diff, t.slots()*t.dim)
 	clear(t.diff)
 	p := 0
@@ -323,20 +360,34 @@ func (t *pairTable) fill(zBench [][]float64) {
 }
 
 // distances writes the weighted distance of every pair into dist, an
-// nb×nb row-major matrix, at both (a, b) and (b, a); out is scratch of
-// t.slots() values. Each pair's sum runs in ascending j from +0 with
-// terms (w_j·d)·d, the chain distance computes, so the values are
-// bit-identical to it.
-func (t *pairTable) distances(w, dist, out []float64) {
-	nb := t.nb
+// ls×ls row-major matrix (ls = laneStride(nb)), at both (a, b) and
+// (b, a), and NaN on the diagonal and in the padding rows and columns;
+// out is scratch of t.slots() values. It reports whether any distance is
+// NaN. Each pair's sum runs in ascending j from +0 with terms (w_j·d)·d,
+// the chain distance computes, so the values are bit-identical to it.
+func (t *pairTable) distances(w, dist, out []float64) (hasNaN bool) {
+	nb, ls := t.nb, laneStride(t.nb)
 	lanes.Distances(t.diff, w[:t.dim], out)
+	nan := math.NaN()
 	p := 0
 	for a := 0; a < nb; a++ {
+		dist[a*ls+a] = nan
 		for b := a + 1; b < nb; b++ {
-			dist[a*nb+b], dist[b*nb+a] = out[p], out[p]
+			v := out[p]
+			dist[a*ls+b], dist[b*ls+a] = v, v
+			if v != v {
+				hasNaN = true
+			}
 			p++
 		}
+		for c := nb; c < ls; c++ {
+			dist[a*ls+c] = nan
+		}
 	}
+	for i := range dist[nb*ls:] {
+		dist[nb*ls+i] = nan
+	}
+	return hasNaN
 }
 
 // nearest returns the k nearest benchmarks to query under the weights w,
@@ -360,18 +411,23 @@ func distance(w, a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// voteEps keeps a vote weight finite at distance 0.
+const voteEps = 1e-6
+
 // vote predicts every target machine as the mean of the neighbours'
 // scores on it, weighted by inverse squared distance (the standard
 // distance weighting of kNN regression, cf. WEKA's IBk -I): nearby
-// benchmarks dominate the vote. weights is scratch of len(nbrs); the
-// weights and their sum are computed once for all targets. Each
-// target's numerator is accumulated in dst neighbour by neighbour, the
-// same addition chain as a per-target loop, while streaming score rows.
+// benchmarks dominate the vote. It serves a fitted model's
+// predictions; the fitness runs the same operations on its own layout
+// in lanes.VoteErrors, so a model predicts what its fitness scored.
+// weights is scratch of len(nbrs); the weights and their sum are
+// computed once for all targets. Each target's numerator is accumulated
+// in dst neighbour by neighbour, the same addition chain as a
+// per-target loop, while streaming score rows.
 func vote(dst []float64, nbrs []knn.Neighbour, weights []float64, scores rowMajor) {
-	const eps = 1e-6
 	den := 0.0
 	for i, n := range nbrs {
-		weights[i] = 1 / (n.Distance*n.Distance + eps)
+		weights[i] = 1 / (n.Distance*n.Distance + voteEps)
 		den += weights[i]
 	}
 	clear(dst)

@@ -1,6 +1,7 @@
 package gaknn
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -79,7 +80,7 @@ type looInput struct {
 
 // foldInput prepares a fold the way Fit does: z-normalised benchmark and
 // application characteristics and the row-major target score table.
-func foldInput(t *testing.T, name string, f transpose.Fold) looInput {
+func foldInput(t testing.TB, name string, f transpose.Fold) looInput {
 	t.Helper()
 	bench := f.Tgt.Benchmarks
 	vectors := make([][]float64, len(bench))
@@ -110,7 +111,7 @@ func clusteredInput(t *testing.T, seed int64, app string, chars func(map[string]
 
 // servedInput is a fold of the dataset dtrankd serves: 28 training
 // benchmarks with their measured characteristics, one family's targets.
-func servedInput(t *testing.T, family, app string) looInput {
+func servedInput(t testing.TB, family, app string) looInput {
 	t.Helper()
 	data, err := synth.Generate(synth.DefaultOptions(1))
 	if err != nil {
@@ -227,4 +228,79 @@ func TestFitNeighboursMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkLoo times one fitness evaluation, the function a served
+// GA-kNN fit calls about a thousand times, on the AMD Phenom/mcf served
+// fold (28 benchmarks, 3 targets) at k = 10 with a warm scratch pool.
+func BenchmarkLoo(b *testing.B) {
+	in := servedInput(b, "AMD Phenom", "mcf")
+	w := randomGenome(rand.New(rand.NewSource(1)), len(in.zApp))
+	p := &Predictor{K: 10}
+	var pairs pairTable
+	pairs.fill(in.zBench, in.scores)
+	p.loo(w, &pairs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.loo(w, &pairs)
+	}
+}
+
+// FuzzLooLanes checks the fitness, the lane kernels wherever the gate is
+// on, against refLooError bit for bit. The fuzzer picks the shape (nb
+// from 2 to 33, so most are not multiples of four, and up to 8 targets:
+// one or two lane groups), how many benchmarks copy benchmark 0's
+// characteristics (ties), k among 1, 2, nb−2, nb−1, nb and nb+4, and
+// the genome's bits. A gene is the absolute value of its eight bytes
+// read as a float64, or 0 where that is not finite: huge genes give
+// +Inf distances, which tie. With nanRow set, one benchmark's
+// characteristics hold a NaN, so its row and column of distances are
+// NaN; every implementation then scores NaN, and only that is compared.
+// Seeds in testdata/fuzz/FuzzLooLanes cover each k and the NaN row.
+func FuzzLooLanes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nbSel, dimSel, ntSel, dups, kSel uint8, nanRow bool, seed int64, genome []byte) {
+		nb, dim, nt := 2+int(nbSel)%32, 1+int(dimSel)%6, 1+int(ntSel)%8
+		rng := rand.New(rand.NewSource(seed))
+		zBench := make([][]float64, nb)
+		for b := range zBench {
+			zBench[b] = make([]float64, dim)
+			for j := range zBench[b] {
+				zBench[b][j] = rng.NormFloat64()
+			}
+		}
+		for b := 1; b <= int(dups)%nb; b++ {
+			copy(zBench[b], zBench[0])
+		}
+		if nanRow {
+			zBench[int(dups)%nb][dim-1] = math.NaN()
+		}
+		scores := rowMajor{data: make([]float64, nb*nt), cols: nt}
+		for i := range scores.data {
+			scores.data[i] = 0.5 + 10*rng.Float64()
+		}
+		w := make([]float64, dim)
+		for j := range w {
+			if len(genome) >= 8*(j+1) {
+				v := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(genome[8*j:])))
+				if v <= math.MaxFloat64 {
+					w[j] = v
+				}
+			}
+		}
+		k := max(1, []int{1, 2, nb - 2, nb - 1, nb, nb + 4}[int(kSel)%6])
+		p := &Predictor{K: k}
+		got := p.looError(w, zBench, scores)
+		want := refLooError(k, w, zBench, scores)
+		if nanRow {
+			if !math.IsNaN(got) || !math.IsNaN(want) {
+				t.Fatalf("nb=%d k=%d w=%v with a NaN row: fitness %v, reference %v, want both NaN", nb, k, w, got, want)
+			}
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("nb=%d nt=%d k=%d w=%v: fitness %v (%#x), reference %v (%#x)",
+				nb, nt, k, w, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }

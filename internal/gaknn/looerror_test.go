@@ -8,6 +8,6 @@ var testPairs pairTable
 // built from zBench on each call instead of once per fit. Reusing one
 // table keeps a warm evaluation allocation-free, as in Fit.
 func (p *Predictor) looError(w []float64, zBench [][]float64, scores rowMajor) float64 {
-	testPairs.fill(zBench)
-	return p.loo(w, &testPairs, scores)
+	testPairs.fill(zBench, scores)
+	return p.loo(w, &testPairs)
 }

@@ -1,7 +1,9 @@
 // Package knn holds the neighbour selection shared by the k-nearest-
 // neighbour predictors: the GA-kNN baseline (benchmarks nearest the
 // application in weighted workload-characteristic space) and kNN^M
-// (predictive machines nearest each target in score space).
+// (predictive machines nearest each target in score space). GA-kNN's
+// weight-learning fitness does not use it: it ranks all candidates of
+// every benchmark at once with lanes.Ranks, which yields the same order.
 package knn
 
 // Neighbour is one training point with its distance from the query.
@@ -22,7 +24,8 @@ func (a Neighbour) before(b Neighbour) bool {
 // (Distance, then Index). Feeding every candidate through Insert yields
 // the same prefix as sorting all candidates under that order and keeping
 // the first k, because the order is total. With cap(top) >= k it
-// allocates nothing.
+// allocates nothing. It picks a fitted GA-kNN model's neighbours and
+// kNN^M's, not those of GA-kNN's fitness.
 func Insert(top []Neighbour, k int, n Neighbour) []Neighbour {
 	i := len(top)
 	if i < k {

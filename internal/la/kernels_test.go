@@ -174,11 +174,16 @@ func TestTIntoMatchesT(t *testing.T) {
 	}
 }
 
+// TestScaleInPlaceMatchesScaleVec checks ScaleInPlace against a scaled
+// copy built element by element, as the deleted ScaleVec built it.
 func TestScaleInPlaceMatchesScaleVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	v := kernRandVec(rng, 33)
 	s := rng.Float64() * 3
-	want := ScaleVec(s, v)
+	want := make([]float64, len(v))
+	for i, x := range v {
+		want[i] = s * x
+	}
 	ScaleInPlace(s, v)
 	requireBitwise(t, "ScaleInPlace", v, want)
 }

@@ -349,17 +349,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return max
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for i := 0; i < m.rows; i++ {
-		for _, v := range m.row(i) {
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
-}
-
 // Equal reports whether m and b have identical shape and all elements within tol.
 func (m *Matrix) Equal(b *Matrix, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {

@@ -193,31 +193,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// AxpyInPlace performs y += alpha*x in place. It panics on length mismatch.
-func AxpyInPlace(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("la: Axpy of vectors with lengths %d and %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// ScaleVec returns a copy of v with every element multiplied by s.
-func ScaleVec(s float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = s * x
-	}
-	return out
-}

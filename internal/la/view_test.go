@@ -104,7 +104,7 @@ func TestViewMulMatchesCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff.FrobeniusNorm() != 0 {
+	if diff.MaxAbs() != 0 {
 		t.Fatal("SubM on view wrong")
 	}
 }

@@ -1,13 +1,16 @@
 // Package lanes holds the fit kernels that run four float64 lanes to a
 // register: MLP^T's hidden-layer training step, the logistic sigmoid
-// over a layer's sums, and GA-kNN's weighted pair distances.
+// over a layer's sums, and three for GA-kNN's leave-one-out fitness:
+// the weighted pair distances, the rank of every candidate neighbour in
+// each benchmark's distance row, and the weighted vote with its error
+// sum.
 //
 // Every kernel exists twice: AVX2 assembly on amd64 CPUs that pass the
 // gate, and a Go loop over the same lane layout everywhere else. The
 // two are bit-identical. Each lane runs the IEEE operations of the
 // scalar code on the same operands in the same order, with no fused
-// multiply-add where the scalar code rounds twice and no horizontal
-// sums. The packed sigmoid repeats math.Exp's amd64 FMA path
+// multiply-add where the scalar code rounds twice, and a sum across
+// lanes adds them one at a time in the scalar order. The packed sigmoid repeats math.Exp's amd64 FMA path
 // instruction for instruction, so it can equal math.Exp only where
 // math.Exp takes that path. The gate therefore probes it against the
 // scalar sigmoid at start-up: GODEBUG=cpu.fma=off or cpu.avx=off sends
@@ -194,4 +197,124 @@ func distancesGo(diff, w, out []float64) {
 			out[q+i] = math.Sqrt(v)
 		}
 	}
+}
+
+// Ranks writes the rank of every entry of the symmetric n×n row-major
+// matrix d within its row, under (value, then column index), for n a
+// multiple of four:
+//
+//	r[b*n+i] = #{j < i : d[b][j] <= d[b][i]} + #{j > i : d[b][j] < d[b][i]}
+//
+// Only ordered compares count, so a NaN entry counts toward no rank,
+// and a NaN entry itself ranks n−1. NaN thus marks the entries a row
+// leaves out (a query's own cell, padding); an +Inf would not do, as a
+// real +Inf ties with it. In a row that holds NaN only there, the other
+// m entries rank 0..m−1, each at the position a sort by (value, index)
+// gives it, and none reaches n−1, so scattering the row by rank needs
+// no branch. The kernel reads column b as row b, four columns to a lane
+// group, and does not branch on the data.
+func Ranks(d []float64, n int, r []int64) {
+	if n%4 != 0 || len(d) != n*n || len(r) != n*n {
+		panic("lanes: Ranks operands do not match the matrix shape")
+	}
+	if n == 0 {
+		return
+	}
+	if enabled {
+		ranksAVX2(d, n, r)
+		return
+	}
+	ranksGo(d, n, r)
+}
+
+// ranksGo is Ranks' lane loop in Go: the portable kernel and the
+// reference the assembly is tested against.
+func ranksGo(d []float64, n int, r []int64) {
+	for b := 0; b < n; b += 4 {
+		for i := 0; i < n; i++ {
+			x := d[i*n+b:][:4]
+			var c [4]int64
+			for j := 0; j < i; j++ {
+				y := d[j*n+b:][:4]
+				for l := range c {
+					if y[l] <= x[l] {
+						c[l]++
+					}
+				}
+			}
+			for j := i + 1; j < n; j++ {
+				y := d[j*n+b:][:4]
+				for l := range c {
+					if y[l] < x[l] {
+						c[l]++
+					}
+				}
+			}
+			for l, v := range x {
+				if v != v {
+					c[l] = int64(n - 1)
+				}
+				r[(b+l)*n+i] = c[l]
+			}
+		}
+	}
+}
+
+// VoteErrors sums the relative errors of GA-kNN's leave-one-out vote
+// over nb = len(near)/n queries. Query b's k neighbours are
+// order[b*n:][:k], closest first, at the distances near[b*n:][:k]; n is
+// a multiple of four, at least k. Neighbour r votes with weight
+// w_r = 1/(d_r·d_r + eps), den = Σ_r w_r, and target t gets
+// pred_t = (Σ_r w_r·s[order_r][t]) / den, both sums in neighbour order
+// from +0. s is the score table: rows of stride columns, a multiple of
+// four, whose first nt are the targets; row b holds query b's own
+// scores a_t. The result is Σ |pred_t − a_t| / a_t added one term at a
+// time in (b, t) order from +0. The weights and the target groups run
+// four to a register; every lane repeats the scalar operations in the
+// same order, with no fused multiply-add. Weights are computed for k
+// rounded up to a multiple of four, into the scratch w, and the lanes
+// past k go unused.
+func VoteErrors(near []float64, order []int64, n, k int, s []float64, stride, nt int, eps float64, w []float64) float64 {
+	nb := 0
+	if n > 0 {
+		nb = len(near) / n
+	}
+	kl := (k + 3) &^ 3
+	if n%4 != 0 || stride%4 != 0 || k < 1 || kl > n || len(near) != nb*n || len(order) != nb*n ||
+		nt < 1 || nt > stride || len(s) < nb*stride || len(w) < kl {
+		panic("lanes: VoteErrors operands do not match the vote layout")
+	}
+	if nb == 0 {
+		return 0
+	}
+	if !enabled {
+		return voteErrorsGo(near, order, s, w, n, nb, k, stride, nt, eps)
+	}
+	total, ok := voteErrorsAVX2(near, order, s, w, n, nb, k, stride, nt, eps, len(s)/stride)
+	if !ok {
+		panic("lanes: VoteErrors neighbour outside the score table")
+	}
+	return total
+}
+
+// voteErrorsGo is VoteErrors' loop in Go: the portable kernel and the
+// reference the assembly is tested against.
+func voteErrorsGo(near []float64, order []int64, s, w []float64, n, nb, k, stride, nt int, eps float64) float64 {
+	total := 0.0
+	for b := 0; b < nb; b++ {
+		nd, nbrs := near[b*n:][:k], order[b*n:][:k]
+		den := 0.0
+		for r, d := range nd {
+			w[r] = 1 / (d*d + eps)
+			den += w[r]
+		}
+		for t, a := range s[b*stride:][:nt] {
+			num := 0.0
+			for r, i := range nbrs {
+				num += w[r] * s[int(i)*stride+t]
+			}
+			total += math.Abs(num/den-a) / a
+		}
+	}
+	return total
 }

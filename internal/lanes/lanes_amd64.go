@@ -47,3 +47,15 @@ func stepAVX2(w, dw []float64, stride int, in, next, d, b, db, s []float64, lr, 
 //
 //go:noescape
 func distancesAVX2(diff, w, out []float64)
+
+// ranksAVX2 is Ranks for n >= 4.
+//
+//go:noescape
+func ranksAVX2(d []float64, n int, r []int64)
+
+// voteErrorsAVX2 is VoteErrors for nb >= 1 over a score table of rows
+// rows. It checks every neighbour index against rows before it reads
+// the row, and returns ok = false, with no total, at the first outside.
+//
+//go:noescape
+func voteErrorsAVX2(near []float64, order []int64, s, w []float64, n, nb, k, stride, nt int, eps float64, rows int) (total float64, ok bool)

@@ -354,3 +354,265 @@ singlej:
 distdone:
 	VZEROUPPER
 	RET
+
+#define GE $0x1d // VCMPPD predicate GE_OQ: false when either side is NaN
+#define GT $0x1e // GT_OQ
+
+// COUNT adds one to each candidate's lane where the entry of row j, at
+// (R12), passes PRED against it: VCMPPD leaves -1 in a passing lane.
+#define COUNT(PRED) \
+	VMOVUPD (R12), Y8;         \
+	VCMPPD  PRED, Y8, Y0, Y9;  \
+	VPSUBQ  Y9, Y4, Y4;        \
+	VCMPPD  PRED, Y8, Y1, Y10; \
+	VPSUBQ  Y10, Y5, Y5;       \
+	VCMPPD  PRED, Y8, Y2, Y11; \
+	VPSUBQ  Y11, Y6, Y6;       \
+	VCMPPD  PRED, Y8, Y3, Y12; \
+	VPSUBQ  Y12, Y7, Y7
+
+// PAIR counts candidate XJ toward candidate XI's rank in accumulator A.
+#define PAIR(PRED, XI, XJ, A) \
+	VCMPPD PRED, XJ, XI, Y9; \
+	VPSUBQ Y9, A, A
+
+// NANLAST sets the rank of each NaN lane of candidate X, 0 from the
+// ordered compares, to n−1: predicate 3 (UNORD_Q) is true on NaN.
+#define NANLAST(X, A) \
+	VCMPPD $3, X, X, Y9; \
+	VPAND  Y13, Y9, Y9;  \
+	VPOR   Y9, A, A
+
+// func ranksAVX2(d []float64, n int, r []int64)
+//
+// For each group of four columns and each group of four candidate rows
+// i0..i0+3, one pass over the rows j compares all four candidates with
+// row j: GE for j below the group, GT above it, and inside the group
+// GE or GT by index order, the candidate itself skipped. A 4×4
+// transpose then turns the candidates' ranks in columns b0..b0+3 into
+// rows b0..b0+3 of r.
+//
+// Register use:
+//
+//	SI, DI      d, r;  CX  n;  BX  bytes per row
+//	R8          the column group's byte offset;  R9  i0
+//	R10         &d[i0][b0];  R11  &r[b0][i0];  R13  two rows further
+//	R12         &d[j][b0];  DX  rows left
+//	Y0-Y3       the candidates;  Y4-Y7  their ranks
+//	Y8          row j;  Y9-Y12  compare masks;  Y13  n−1
+TEXT ·ranksAVX2(SB), NOSPLIT, $0-56
+	MOVQ         d_base+0(FP), SI
+	MOVQ         n+24(FP), CX
+	MOVQ         r_base+32(FP), DI
+	MOVQ         CX, BX
+	SHLQ         $3, BX
+	LEAQ         -1(CX), AX
+	MOVQ         AX, X13
+	VPBROADCASTQ X13, Y13
+	XORQ         R8, R8
+
+columns:
+	CMPQ R8, BX
+	JGE  ranksdone
+	XORQ R9, R9
+
+candidates:
+	CMPQ    R9, CX
+	JGE     nextcolumns
+	MOVQ    R9, AX
+	IMULQ   BX, AX
+	ADDQ    R8, AX
+	LEAQ    (SI)(AX*1), R10
+	LEAQ    (R10)(BX*2), R13
+	VMOVUPD (R10), Y0
+	VMOVUPD (R10)(BX*1), Y1
+	VMOVUPD (R13), Y2
+	VMOVUPD (R13)(BX*1), Y3
+	VPXOR   Y4, Y4, Y4
+	VPXOR   Y5, Y5, Y5
+	VPXOR   Y6, Y6, Y6
+	VPXOR   Y7, Y7, Y7
+	LEAQ    (SI)(R8*1), R12
+	MOVQ    R9, DX
+	TESTQ   DX, DX
+	JZ      inside
+
+below:
+	COUNT(GE)
+	ADDQ BX, R12
+	DECQ DX
+	JNZ  below
+
+inside:
+	PAIR(GT, Y0, Y1, Y4)
+	PAIR(GT, Y0, Y2, Y4)
+	PAIR(GT, Y0, Y3, Y4)
+	PAIR(GE, Y1, Y0, Y5)
+	PAIR(GT, Y1, Y2, Y5)
+	PAIR(GT, Y1, Y3, Y5)
+	PAIR(GE, Y2, Y0, Y6)
+	PAIR(GE, Y2, Y1, Y6)
+	PAIR(GT, Y2, Y3, Y6)
+	PAIR(GE, Y3, Y0, Y7)
+	PAIR(GE, Y3, Y1, Y7)
+	PAIR(GE, Y3, Y2, Y7)
+	LEAQ (R12)(BX*4), R12
+	MOVQ CX, DX
+	SUBQ R9, DX
+	SUBQ $4, DX
+	JZ   store
+
+above:
+	COUNT(GT)
+	ADDQ BX, R12
+	DECQ DX
+	JNZ  above
+
+store:
+	NANLAST(Y0, Y4)
+	NANLAST(Y1, Y5)
+	NANLAST(Y2, Y6)
+	NANLAST(Y3, Y7)
+	VPUNPCKLQDQ Y5, Y4, Y8
+	VPUNPCKHQDQ Y5, Y4, Y9
+	VPUNPCKLQDQ Y7, Y6, Y10
+	VPUNPCKHQDQ Y7, Y6, Y11
+	VPERM2I128  $0x20, Y10, Y8, Y4
+	VPERM2I128  $0x20, Y11, Y9, Y5
+	VPERM2I128  $0x31, Y10, Y8, Y6
+	VPERM2I128  $0x31, Y11, Y9, Y7
+	MOVQ        R8, AX
+	IMULQ       CX, AX
+	LEAQ        (DI)(AX*1), R11
+	LEAQ        (R11)(R9*8), R11
+	LEAQ        (R11)(BX*2), R13
+	VMOVDQU     Y4, (R11)
+	VMOVDQU     Y5, (R11)(BX*1)
+	VMOVDQU     Y6, (R13)
+	VMOVDQU     Y7, (R13)(BX*1)
+	ADDQ        $4, R9
+	JMP         candidates
+
+nextcolumns:
+	ADDQ $32, R8
+	JMP  columns
+
+ranksdone:
+	VZEROUPPER
+	RET
+
+// func voteErrorsAVX2(near []float64, order []int64, s, w []float64, n, nb, k, stride, nt int, eps float64, rows int) (total float64, ok bool)
+//
+// Per query: the weights four at a time into w, den one scalar add
+// chain over w, then each group of four targets: the numerators as
+// packed products and sums in neighbour order, the quotients, and the
+// relative errors, whose lanes up to nt join the total one at a time.
+//
+// Register use:
+//
+//	SI, DI      the query's near and order rows;  R10  n in bytes
+//	R8, R9      s, w;  BX  the query's score row;  R13  stride in bytes
+//	R11         queries left;  R12  k;  DX  the target group's byte offset
+//	AX, CX      neighbour index and offset, neighbour r
+//	X0          total;  Y1  weights;  Y2  numerators, then errors
+//	Y3, X6      temporaries;  Y4  den;  Y5  actual scores
+//	Y13-Y15     abs mask, 1, eps
+TEXT ·voteErrorsAVX2(SB), NOSPLIT, $0-161
+	MOVQ         near_base+0(FP), SI
+	MOVQ         order_base+24(FP), DI
+	MOVQ         s_base+48(FP), R8
+	MOVQ         w_base+72(FP), R9
+	MOVQ         n+96(FP), R10
+	SHLQ         $3, R10
+	MOVQ         nb+104(FP), R11
+	MOVQ         k+112(FP), R12
+	MOVQ         stride+120(FP), R13
+	SHLQ         $3, R13
+	VBROADCASTSD eps+136(FP), Y15
+	VBROADCASTSD expc<>+88(SB), Y14
+	VPCMPEQQ     Y13, Y13, Y13
+	VPSRLQ       $1, Y13, Y13
+	MOVQ         R8, BX
+	VXORPD       X0, X0, X0
+
+query:
+	XORQ CX, CX
+
+weights:
+	VMOVUPD (SI)(CX*8), Y1
+	VMULPD  Y1, Y1, Y1
+	VADDPD  Y15, Y1, Y1
+	VDIVPD  Y1, Y14, Y1
+	VMOVUPD Y1, (R9)(CX*8)
+	ADDQ    $4, CX
+	CMPQ    CX, R12
+	JLT     weights
+	VXORPD  X4, X4, X4
+	XORQ    CX, CX
+
+den:
+	VADDSD (R9)(CX*8), X4, X4
+	INCQ   CX
+	CMPQ   CX, R12
+	JLT    den
+	VBROADCASTSD X4, Y4
+	XORQ         DX, DX
+
+targets:
+	VXORPD Y2, Y2, Y2
+	XORQ   CX, CX
+
+numerators:
+	MOVQ         (DI)(CX*8), AX
+	CMPQ         AX, rows+144(FP)
+	JAE          outside
+	IMULQ        R13, AX
+	ADDQ         DX, AX
+	VBROADCASTSD (R9)(CX*8), Y3
+	VMULPD       (R8)(AX*1), Y3, Y3
+	VADDPD       Y3, Y2, Y2
+	INCQ         CX
+	CMPQ         CX, R12
+	JLT          numerators
+	VDIVPD       Y4, Y2, Y2
+	VMOVUPD      (BX)(DX*1), Y5
+	VSUBPD       Y5, Y2, Y2
+	VANDPD       Y13, Y2, Y2
+	VDIVPD       Y5, Y2, Y2
+
+	// add the group's lanes below nt: AX = bytes of targets left
+	MOVQ         nt+128(FP), AX
+	SHLQ         $3, AX
+	SUBQ         DX, AX
+	VADDSD       X2, X0, X0
+	CMPQ         AX, $8
+	JLE          nexttargets
+	VUNPCKHPD    X2, X2, X3
+	VADDSD       X3, X0, X0
+	CMPQ         AX, $16
+	JLE          nexttargets
+	VEXTRACTF128 $1, Y2, X6
+	VADDSD       X6, X0, X0
+	CMPQ         AX, $24
+	JLE          nexttargets
+	VUNPCKHPD    X6, X6, X6
+	VADDSD       X6, X0, X0
+
+nexttargets:
+	ADDQ $32, DX
+	CMPQ AX, $32
+	JGT  targets
+	ADDQ R10, SI
+	ADDQ R10, DI
+	ADDQ R13, BX
+	DECQ R11
+	JNZ  query
+	VMOVSD X0, total+152(FP)
+	MOVB   $1, ok+160(FP)
+	VZEROUPPER
+	RET
+
+outside:
+	MOVB $0, ok+160(FP)
+	VZEROUPPER
+	RET

@@ -194,3 +194,132 @@ func TestDistanceLanesMatchGo(t *testing.T) {
 		}
 	}
 }
+
+// TestRanksLanesMatchGo pins the assembly ranks to ranksGo bit for bit,
+// and ranksGo to a sort: in each row the non-NaN entries, sorted
+// stably by value, sit at their ranks, and every NaN entry ranks n−1.
+// The symmetric matrices hold ties (values drawn from a few levels),
+// ±0, +Inf and NaN cells besides the NaN diagonal, and n covers one to
+// eight lane groups.
+func TestRanksLanesMatchGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	levels := []float64{0, math.Copysign(0, -1), 0.5, 1, 1, 2.25, math.Inf(1), math.NaN()}
+	for _, n := range []int{4, 8, 12, 28, 32} {
+		for _, spread := range []int{2, 4, len(levels), 0} {
+			d := make([]float64, n*n)
+			for i := 0; i < n; i++ {
+				d[i*n+i] = math.NaN()
+				for j := i + 1; j < n; j++ {
+					v := rng.Float64()
+					if spread > 0 {
+						v = levels[rng.Intn(spread)]
+					}
+					d[i*n+j], d[j*n+i] = v, v
+				}
+			}
+			want := make([]int64, n*n)
+			ranksGo(d, n, want)
+			ctx := fmt.Sprintf("ranks n=%d spread=%d", n, spread)
+			for b := 0; b < n; b++ {
+				row, ranks := d[b*n:][:n], want[b*n:][:n]
+				var order []int
+				for i, v := range row {
+					if v == v {
+						order = append(order, i)
+					} else if ranks[i] != int64(n-1) {
+						t.Fatalf("%s: NaN entry (%d, %d) ranks %d, want %d", ctx, b, i, ranks[i], n-1)
+					}
+				}
+				slices.SortStableFunc(order, func(i, j int) int {
+					if row[i] < row[j] {
+						return -1
+					}
+					if row[i] > row[j] {
+						return 1
+					}
+					return 0
+				})
+				for q, i := range order {
+					if ranks[i] != int64(q) {
+						t.Fatalf("%s: row %d entry %d ranks %d, sorts to %d", ctx, b, i, ranks[i], q)
+					}
+				}
+			}
+			if hasAVX2FMA {
+				got := make([]int64, n*n)
+				ranksAVX2(d, n, got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: assembly ranks %v, Go %v", ctx, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestVoteErrorsLanesMatchGo pins the assembly vote to voteErrorsGo bit
+// for bit, and voteErrorsGo to GA-kNN's vote written out per query and
+// target. The shapes cover one and several lane groups of neighbours
+// and of targets, partial last groups, a neighbour at distance 0 and
+// +Inf distances, whose weight is 0.
+func TestVoteErrorsLanesMatchGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const eps = 1e-6
+	for _, k := range []int{1, 2, 3, 4, 5, 10, 27} {
+		for _, nt := range []int{1, 2, 3, 4, 5, 8, 39} {
+			nb, n, stride := k+3, (k+4)&^3, (nt+3)&^3
+			near, order := make([]float64, nb*n), make([]int64, nb*n)
+			s := make([]float64, nb*stride)
+			for b := 0; b < nb; b++ {
+				for t := 0; t < nt; t++ {
+					s[b*stride+t] = 0.5 + 10*rng.Float64()
+				}
+				for r := 0; r < k; r++ {
+					order[b*n+r] = int64(rng.Intn(nb))
+					near[b*n+r] = 3 * rng.Float64()
+				}
+			}
+			near[0], near[n+k-1] = 0, math.Inf(1)
+			w := make([]float64, n)
+			want := voteErrorsGo(near, order, s, w, n, nb, k, stride, nt, eps)
+			ctx := fmt.Sprintf("vote k=%d nt=%d", k, nt)
+			ref := 0.0
+			for b := 0; b < nb; b++ {
+				for t := 0; t < nt; t++ {
+					num, den := 0.0, 0.0
+					for r := 0; r < k; r++ {
+						d := near[b*n+r]
+						wr := 1 / (d*d + eps)
+						num += wr * s[int(order[b*n+r])*stride+t]
+						den += wr
+					}
+					a := s[b*stride+t]
+					ref += math.Abs(num/den-a) / a
+				}
+			}
+			requireSameBits(t, ctx, "Go lanes vs per-target vote", []float64{want}, []float64{ref})
+			if hasAVX2FMA {
+				got, ok := voteErrorsAVX2(near, order, s, w, n, nb, k, stride, nt, eps, nb)
+				if !ok {
+					t.Fatalf("%s: assembly rejected in-range neighbours", ctx)
+				}
+				requireSameBits(t, ctx, "total", []float64{got}, []float64{want})
+			}
+		}
+	}
+}
+
+// TestVoteErrorsRejectsOutsideNeighbour checks that a neighbour index
+// outside the score table panics instead of reading past it.
+func TestVoteErrorsRejectsOutsideNeighbour(t *testing.T) {
+	for _, i := range []int64{2, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("neighbour %d of 2 benchmarks: no panic", i)
+				}
+			}()
+			near, order := []float64{1, 1, 1, 1, 1, 1, 1, 1}, []int64{0, 1, 0, 0, i, 0, 0, 0}
+			VoteErrors(near, order, 4, 1, make([]float64, 8), 4, 3, 1e-6, make([]float64, 4))
+		}()
+	}
+}

@@ -13,7 +13,6 @@ package mica
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Suite labels a benchmark as integer or floating point.
@@ -102,15 +101,6 @@ func (w Workload) Validate() error {
 
 // VectorLen is the dimensionality of Vector().
 const VectorLen = 12
-
-// VectorNames labels the dimensions of Vector(), in order.
-func VectorNames() []string {
-	return []string{
-		"frac_load", "frac_store", "frac_branch", "frac_fp",
-		"ilp", "regularity", "log2_ws_kb", "streaming",
-		"branch_entropy", "bytes_per_instr", "log2_code_kb", "dlp",
-	}
-}
 
 // Vector flattens the profile into the characteristic vector used for
 // similarity computations. Footprints enter logarithmically, mirroring how
@@ -210,12 +200,4 @@ func (t *Table) Normalized(names []string) (map[string][]float64, error) {
 		out[n] = z
 	}
 	return out, nil
-}
-
-// SortedNames returns the workload names sorted alphabetically (the order
-// the paper's figures use).
-func (t *Table) SortedNames() []string {
-	out := append([]string(nil), t.order...)
-	sort.Strings(out)
-	return out
 }

@@ -90,20 +90,6 @@ func ArgMax(xs []float64) (int, error) {
 	return best, nil
 }
 
-// ArgMin returns the index of the smallest value in xs (first on ties).
-func ArgMin(xs []float64) (int, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best, nil
-}
-
 // Median returns the median of xs (average of the two central order
 // statistics for even-length samples).
 func Median(xs []float64) (float64, error) {
@@ -281,38 +267,4 @@ func Top1Deficiency(obs, pred []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: Top1Deficiency with non-positive chosen performance %v", chosen)
 	}
 	return 100 * (bestActual - chosen) / chosen, nil
-}
-
-// Summary bundles the location and spread of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Median float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	med, _ := Median(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		Median: med,
-		Max:    mx,
-	}, nil
-}
-
-// String renders the summary in a single line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 
 	_ "repro/internal/gaknn" // registers the "gaknn" model kind
@@ -39,9 +40,12 @@ func reseal(blob []byte) []byte {
 
 // FuzzDecodeModel feeds hostile model files to DecodeModel, as is and
 // with a valid checksum: decoding must never panic, and neither may
-// PredictTargets on any model it accepts. The seed corpus in
+// PredictTargets on any model it accepts. A GA-kNN model it accepts
+// must predict finite scores. The seed corpus in
 // testdata/fuzz/FuzzDecodeModel holds one valid model of each kind, a
-// truncated model and a header claiming a 1 GiB payload.
+// truncated model, a header claiming a 1 GiB payload, and GA-kNN models
+// with +Inf distances, distances whose square overflows and a NaN
+// target score.
 func FuzzDecodeModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		for _, in := range [][]byte{blob, reseal(blob)} {
@@ -55,7 +59,17 @@ func FuzzDecodeModel(f *testing.F) {
 			if n := m.NumTargets(); n < 0 || n > len(in) {
 				t.Fatalf("decoded model claims %d targets from %d bytes", n, len(in))
 			}
-			_ = m.PredictTargets(make([]float64, m.NumTargets()))
+			pred := make([]float64, m.NumTargets())
+			if err := m.PredictTargets(pred); err != nil {
+				continue
+			}
+			if bm, ok := m.(transpose.BinaryModel); ok && bm.ModelKind() == "gaknn" {
+				for i, v := range pred {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("decoded GA-kNN model predicts %v on target %d", v, i)
+					}
+				}
+			}
 		}
 	})
 }
