@@ -17,60 +17,6 @@ func seedCache(t *testing.T) string {
 	return dir
 }
 
-func TestParseShard(t *testing.T) {
-	if i, n, err := parseShard("1/3"); err != nil || i != 1 || n != 3 {
-		t.Fatalf("parseShard(1/3) = %d %d %v", i, n, err)
-	}
-	for _, bad := range []string{"", "x", "3/3", "-1/2", "0/0", "2/1", "0/2/4", "1/2x", "x/2", "1/"} {
-		if _, _, err := parseShard(bad); err == nil {
-			t.Fatalf("parseShard(%q) accepted", bad)
-		}
-	}
-}
-
-func TestRunShardRequiresCache(t *testing.T) {
-	err := runRun([]string{"-spec", "table3", "-shard", "0/2", "-fast"})
-	if err == nil || !strings.Contains(err.Error(), "-shard requires -cache") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestRunShardsThenRender drives the CLI's distributed flow in-process:
-// two shard invocations into one cache render nothing, and the following
-// merge render is byte-identical to a single-process run.
-func TestRunShardsThenRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline runs in -short mode")
-	}
-	args := func(extra ...string) []string {
-		return append([]string{"-spec", "table3", "-fast", "-draws", "2", "-maxk", "3"}, extra...)
-	}
-	single := captureStdout(t, func() {
-		if err := runRun(args()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	cache := filepath.Join(t.TempDir(), "cache")
-	for i := 0; i < 2; i++ {
-		out := captureStdout(t, func() {
-			if err := runRun(args("-cache", cache, "-shard", []string{"0/2", "1/2"}[i])); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if out != "" {
-			t.Fatalf("shard %d rendered to stdout:\n%s", i, out)
-		}
-	}
-	merged := captureStdout(t, func() {
-		if err := runRun(args("-cache", cache)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if merged != single {
-		t.Fatalf("merged render differs:\n--- single\n%s\n--- merged\n%s", single, merged)
-	}
-}
-
 func TestCacheLsAndVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run in -short mode")

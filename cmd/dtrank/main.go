@@ -16,13 +16,12 @@
 //	dtrank fig8   [-seed N] [-fast] [-draws D] [-maxk K]
 //	dtrank ablate [-seed N] [-fast]               ablation studies
 //	dtrank all    [-seed N] [-fast] [-draws D]    everything, in paper order
-//	dtrank run    [-spec id,..|all] [-cache dir|url] [-shard i/n] [-worker url]
+//	dtrank run    [-spec id,..|all] [-cache dir|url] [-worker url]
 //	                                              declarative spec pipeline,
 //	                                              incremental via the result store;
-//	                                              -shard computes one fixed slice of
-//	                                              the units into the shared store,
-//	                                              -worker leases batches from a
-//	                                              dtrankd -coordinate daemon instead
+//	                                              -worker leases unit batches from a
+//	                                              dtrankd -coordinate daemon into
+//	                                              its shared store
 //	dtrank cache  <ls|verify|prune> -cache dir    result-store lifecycle
 //	dtrank loadtest [-url http://host:8117] [-duration 3s] [-workers 8]
 //	                [-qps Q] [-methods M,..] [-apps A,..] [-reports S,..]
@@ -159,10 +158,9 @@ commands:
   ablate  run the reproduction's ablation studies
   all     reproduce every table and figure
   run     run experiment specs (-spec id,..|all), incremental with -cache;
-          -shard i/n computes one disjoint slice of the units into a shared
-          store (a directory or a dtrankd -cache URL) for distributed runs;
           -worker url joins a dtrankd -coordinate daemon as a work-stealing
-          worker, leasing unit batches instead of taking a fixed shard
+          worker, leasing unit batches into its shared store (a directory
+          or a dtrankd -cache URL) for distributed runs
   cache   result-store lifecycle: ls, verify, prune (-keep N / -max-age d /
           -max-bytes B)
   loadtest drive a live dtrankd (-url) with closed-loop workers and a

@@ -3,14 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -66,19 +64,13 @@ func runMethods(args []string) error {
 // incremental. Rendered output is byte-identical to the spec's dedicated
 // subcommand, cold or warm.
 //
-// With -shard i/n the command computes only its residue-class slice of
-// the planned units into the shared store and renders nothing: n such
-// processes (same seed/budget flags, one -cache directory or dtrankd
-// URL) together compute exactly the single-process unit set, and a final
-// run without -shard renders the merged report byte-identically.
-//
 // With -worker URL the command joins a `dtrankd -coordinate` run as a
-// work-stealing worker instead of taking a fixed shard: it leases unit
-// batches from the daemon's /v1/work/ control plane, executes them into
-// the shared store, heartbeats while computing, and completes them —
-// looping until the coordinator reports the plan done. Workers need no
-// i/n pre-assignment, batch sizes adapt to observed unit cost, and a
-// worker that dies forfeits its lease so survivors pick up its units.
+// work-stealing worker and renders nothing: it leases unit batches from
+// the daemon's /v1/work/ control plane, executes them into the shared
+// store, heartbeats while computing, and completes them — looping until
+// the coordinator reports the plan done. Workers need no pre-assignment,
+// batch sizes adapt to observed unit cost, and a worker that dies
+// forfeits its lease so survivors pick up its units.
 // -cache defaults to the worker URL (the daemon serves both /v1/work/
 // and /v1/store/); a final run with -cache alone renders the merged
 // report byte-identically.
@@ -86,7 +78,6 @@ func runRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	spec := fs.String("spec", "all", "comma-separated spec ids, or 'all' (valid: "+strings.Join(experiments.SpecIDs(), ", ")+")")
 	cache := fs.String("cache", "", "result store: a directory, or the http(s):// URL of a dtrankd -cache daemon (persists unit results across runs and processes; default: in-memory only)")
-	shard := fs.String("shard", "", "execute only shard i/n of the planned units (e.g. 0/2) into -cache, rendering nothing; run without -shard to render the merged store")
 	worker := fs.String("worker", "", "join a 'dtrankd -coordinate' run as a work-stealing worker: lease, execute and complete unit batches from this daemon URL, rendering nothing (-cache defaults to the same URL)")
 	workerName := fs.String("worker-name", "", "worker name in lease ids and coordinator logs (default: host-pid)")
 	maxBatch := fs.Int("max-batch", 0, "cap the units requested per lease on top of the coordinator's adaptive sizing (0 = no cap)")
@@ -109,9 +100,6 @@ func runRun(args []string) error {
 	}
 	if *memprofile != "" {
 		defer writeMemProfile(*memprofile)
-	}
-	if *worker != "" && *shard != "" {
-		return errors.New("-worker and -shard are mutually exclusive: work stealing replaces fixed sharding")
 	}
 	ids := experiments.SpecIDs()
 	if *spec != "all" {
@@ -140,32 +128,6 @@ func runRun(args []string) error {
 
 	if *worker != "" {
 		return runWorker(*worker, *workerName, *maxBatch, cfg, ids, st, where, reg, backend)
-	}
-
-	if *shard != "" {
-		if *cache == "" {
-			return errors.New("-shard requires -cache: shards merge through a shared store")
-		}
-		index, count, err := parseShard(*shard)
-		if err != nil {
-			return err
-		}
-		plan, err := experiments.PlanSpecs(cfg, ids...)
-		if err != nil {
-			return err
-		}
-		mine, err := plan.Shard(index, count)
-		if err != nil {
-			return err
-		}
-		if err := plan.Executor().Execute(mine); err != nil {
-			return err
-		}
-		stats := st.Stats()
-		fmt.Fprintf(os.Stderr, "dtrank run: shard %d/%d: %d of %d units into %s: %d hits, %d computed, %d corrupt\n",
-			index, count, len(mine), len(plan.Units), where, stats.Hits, stats.Puts, stats.Corrupt)
-		printStoreOps(reg, backend)
-		return nil
 	}
 
 	if err := experiments.RunSpecs(cfg, os.Stdout, ids...); err != nil {
@@ -282,26 +244,4 @@ func runWorker(workerURL, name string, maxBatch int, cfg experiments.Config, ids
 	printStoreOps(reg, backend)
 	printCoordOps(reg)
 	return err
-}
-
-// parseShard parses a -shard value of the form i/n with 0 <= i < n. The
-// whole string must parse — trailing input (e.g. "0/2/4") is rejected,
-// because a silently misread shard spec would break the disjointness
-// guarantee.
-func parseShard(s string) (index, count int, err error) {
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("invalid -shard %q (want i/n, e.g. 0/2)", s)
-	}
-	index, err = strconv.Atoi(is)
-	if err == nil {
-		count, err = strconv.Atoi(ns)
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("invalid -shard %q (want i/n, e.g. 0/2)", s)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("invalid -shard %q: index must be in 0..n-1", s)
-	}
-	return index, count, nil
 }

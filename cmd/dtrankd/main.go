@@ -31,7 +31,7 @@
 // -spec <id>` with the same -seed, -fast, -draws and -maxk (those flags
 // set the report budget whether or not -coordinate is on). A render
 // computes only the units missing from the -cache store — a daemon whose
-// store was warmed by CLI runs, shards or workers recomputes nothing —
+// store was warmed by CLI runs or workers recomputes nothing —
 // and the rendered body is cached (-report-cache bounds the LRU) under a
 // strong ETag, so pollers revalidating with If-None-Match get 304 without
 // any work. Accept: application/json selects a structured envelope
@@ -48,16 +48,15 @@
 // off by default so profiling is never reachable through the service port.
 //
 // With -cache the daemon additionally serves the experiment result store
-// under /v1/store/: sharded `dtrank run -shard i/n -cache
-// http://host:8117` processes merge their computed units through the
-// daemon, and a final `dtrank run -cache http://host:8117` renders the
-// merged report. The directory is interchangeable with a local
+// under /v1/store/: `dtrank run -worker http://host:8117` processes
+// merge their computed units through the daemon, and a final `dtrank
+// run -cache http://host:8117` renders the merged report. The directory is interchangeable with a local
 // `dtrank run -cache dir` store.
 //
 // With -coordinate the daemon additionally runs the lease-based
 // work-stealing control plane under /v1/work/: it plans the named specs
 // once and hands unit batches to `dtrank run -worker http://host:8117`
-// processes on demand, so workers need no pre-assigned shard and a
+// processes on demand, so workers need no pre-assigned slice and a
 // killed worker's units return to the queue after -lease-ttl. The
 // planning flags (-seed, -fast, -draws, -maxk) must match the workers'.
 //
@@ -129,7 +128,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	reportCache := fs.Int("report-cache", serve.DefaultReportCacheSize, "rendered-report cache bound in entries for /v1/reports/ (-1 disables the cache and ETag/304 revalidation)")
 	registryDir := fs.String("registry", "", "warm-start the model registry from this directory")
 	save := fs.Bool("save", false, "save the registry back to -registry on shutdown")
-	cacheDir := fs.String("cache", "", "serve the experiment result store under /v1/store/ from this directory (the merge point of 'dtrank run -shard -cache http://this-daemon')")
+	cacheDir := fs.String("cache", "", "serve the experiment result store under /v1/store/ from this directory (the merge point of 'dtrank run -worker' and 'dtrank run -cache http://this-daemon')")
 	coordinate := fs.String("coordinate", "", "coordinate a work-stealing run of these comma-separated spec ids (or 'all') under /v1/work/; requires -cache, workers join with 'dtrank run -worker http://this-daemon'")
 	leaseTTL := fs.Duration("lease-ttl", coord.DefaultLeaseTTL, "work lease time-to-live; a worker silent for this long forfeits its units back to the queue")
 	fast := fs.Bool("fast", false, "reduced model budgets for /v1/reports/ renders and coordinated specs (must match the workers' -fast)")

@@ -306,62 +306,3 @@ func KMeans(points [][]float64, k int, rng *rand.Rand, maxIter int) (*Result, er
 	}
 	return &Result{Medoids: medoids, Assign: assign, Cost: cost, Iterations: iter + 1}, nil
 }
-
-// Silhouette returns the mean silhouette coefficient of a clustering, in
-// [-1, 1]; higher is better. Points in singleton clusters contribute 0.
-func Silhouette(points [][]float64, assign []int, dist Distance) (float64, error) {
-	if len(points) == 0 {
-		return 0, ErrNoPoints
-	}
-	if len(points) != len(assign) {
-		return 0, fmt.Errorf("cluster: %d points but %d assignments", len(points), len(assign))
-	}
-	if dist == nil {
-		dist = Euclidean
-	}
-	k := 0
-	for _, a := range assign {
-		if a < 0 {
-			return 0, fmt.Errorf("cluster: negative cluster id %d", a)
-		}
-		if a+1 > k {
-			k = a + 1
-		}
-	}
-	sizes := make([]int, k)
-	for _, a := range assign {
-		sizes[a]++
-	}
-	total := 0.0
-	for i := range points {
-		if sizes[assign[i]] <= 1 {
-			continue // silhouette of singletons is defined as 0
-		}
-		// Mean distance to own cluster (a) and nearest other cluster (b).
-		sums := make([]float64, k)
-		for j := range points {
-			if i == j {
-				continue
-			}
-			sums[assign[j]] += dist(points[i], points[j])
-		}
-		a := sums[assign[i]] / float64(sizes[assign[i]]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == assign[i] || sizes[c] == 0 {
-				continue
-			}
-			if m := sums[c] / float64(sizes[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue // single cluster overall
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-		}
-	}
-	return total / float64(len(points)), nil
-}

@@ -150,46 +150,6 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	}
 }
 
-func TestSilhouetteSeparatedVsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts, labels := threeBlobs(rng, 10)
-	good, err := Silhouette(pts, labels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good < 0.8 {
-		t.Fatalf("silhouette of separated blobs = %v, expected > 0.8", good)
-	}
-	randomAssign := make([]int, len(pts))
-	for i := range randomAssign {
-		randomAssign[i] = rng.Intn(3)
-	}
-	bad, err := Silhouette(pts, randomAssign, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad >= good {
-		t.Fatalf("random assignment silhouette %v >= blob silhouette %v", bad, good)
-	}
-}
-
-func TestSilhouetteEdgeCases(t *testing.T) {
-	if _, err := Silhouette(nil, nil, nil); !errors.Is(err, ErrNoPoints) {
-		t.Fatalf("want ErrNoPoints, got %v", err)
-	}
-	if _, err := Silhouette([][]float64{{1}}, []int{0, 1}, nil); err == nil {
-		t.Fatal("want length error")
-	}
-	if _, err := Silhouette([][]float64{{1}}, []int{-1}, nil); err == nil {
-		t.Fatal("want negative-id error")
-	}
-	// Single cluster: silhouette defined as 0 contribution per point.
-	s, err := Silhouette([][]float64{{1}, {2}, {3}}, []int{0, 0, 0}, nil)
-	if err != nil || s != 0 {
-		t.Fatalf("single-cluster silhouette = %v, %v", s, err)
-	}
-}
-
 func TestEuclideanPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

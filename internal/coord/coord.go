@@ -5,11 +5,11 @@
 // computing, and report completion. A lease that stops heartbeating
 // expires and its unfinished units return to the queue for the next
 // worker — so stragglers never stall the run and a dead worker strands
-// nothing, unlike static `-shard i/n` assignment.
+// nothing.
 //
 // Completed results land in the shared result store (a directory or a
-// dtrankd /v1/store/ URL) exactly as sharded runs land theirs, so the
-// merged render stays byte-identical to a single-process run. Because the
+// dtrankd /v1/store/ URL), so the merged render stays byte-identical to
+// a single-process run. Because the
 // store is content-addressed, completing a unit twice — a recovered lease
 // whose original worker was merely slow, not dead — is a harmless no-op:
 // both workers computed the identical bytes under the identical key.

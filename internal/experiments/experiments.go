@@ -4,6 +4,12 @@
 // predictive sets) and Figure 8 (k-medoids versus random predictive-machine
 // selection). Each runner returns a typed result with a Render method that
 // prints the same rows or series the paper reports.
+//
+// Every table cell, figure point and ablation variant is one unit in a
+// result store. RunSpecs renders specs, computing only missing units;
+// PlanSpecs and Executor compute a plan's units without rendering, which
+// is how work-stealing workers (internal/coord) fill one shared store that
+// any process then renders byte-identically to a single-process run.
 package experiments
 
 import (
@@ -56,8 +62,8 @@ type Config struct {
 	// reruns are incremental. nil means a fresh in-memory store per
 	// runner call; open a directory- or HTTP-backed store
 	// (resultstore.Open) to persist results across runs and processes.
-	// Cached results never change output: cold, warm and sharded runs
-	// render byte-identical text.
+	// Cached results never change output: cold, warm and distributed
+	// (work-stealing) runs render byte-identical text.
 	Store resultstore.Store
 	// pool is the run's worker pool, created lazily by eng(). Predictor
 	// factories hand it to the GA's inner fan-out so one token budget
@@ -268,7 +274,7 @@ func (c Config) unitKey(fp, spec, methodName, split string) resultstore.Key {
 // it plus the typed computation that produces its value. Per-spec
 // enumerators build these lists in a canonical deterministic order; the
 // runners consume them through collectUnits and the planner erases them
-// to Units through planOf — one enumeration, so the executed shards and
+// to Units through planOf — one enumeration, so the executed units and
 // the rendered report can never disagree about what the units are.
 type unitSpec[T any] struct {
 	key     resultstore.Key

@@ -26,7 +26,7 @@ type Figure8 struct {
 // 2008 pool size) one k-medoids unit followed by the random-draw units,
 // so the flat list has a fixed stride of 1+draws per k. Every draw owns a
 // PRNG seeded from (Seed, k, draw), so the series are identical for every
-// worker count and shard assignment.
+// worker count and lease assignment.
 func (c *Config) figure8Units() ([]unitSpec[float64], error) {
 	data, fp, err := c.dataset()
 	if err != nil {

@@ -11,12 +11,13 @@ import (
 )
 
 // This file is the distribution layer of the spec pipeline: PlanSpecs
-// enumerates every unit a set of specs reads, Plan.Shard carves the list
-// into disjoint residue-class slices, and Executor computes an assigned
-// slice into the run's result store. n processes each executing shard
-// i/n of the same plan into one shared store (a directory or a dtrankd
-// /v1/store/ URL) together compute exactly the single-process unit set;
-// any process then renders the final report from the merged store via
+// enumerates every unit a set of specs reads, and Executor computes a
+// list of those units into the run's result store. A work-stealing run
+// (`dtrankd -coordinate` plus `dtrank run -worker` processes) queues the
+// plan's keys at the coordinator; each worker plans the same specs,
+// resolves its leased keys back to units (UnitsByKey) and executes them
+// into one shared store (a directory or a dtrankd /v1/store/ URL). Any
+// process then renders the final report from the merged store via
 // RunSpecs, byte-identical to a single-process run.
 
 // Unit is one planned experiment unit: a table cell, figure point or
@@ -48,8 +49,8 @@ type Plan struct {
 // PlanSpecs enumerates the full unit list of the named specs without
 // computing anything. The enumeration is deterministic in cfg — every
 // process planning the same (seed, budget, draws, maxK) spec set
-// produces the identical list — which is what makes residue-class
-// sharding disjoint and complete across independent processes.
+// produces the identical list — which is what lets independent worker
+// processes resolve a coordinator's unit keys (Fingerprint, UnitsByKey).
 //
 // Planning synthesises the dataset (unit keys embed its fingerprint);
 // the instance is memoised on the returned Plan's configuration, so a
@@ -131,24 +132,6 @@ func (p *Plan) UnitsByKey(keys []resultstore.Key) ([]Unit, error) {
 	return out, nil
 }
 
-// Shard returns the residue-class slice of the plan assigned to shard
-// index of count: Units[j] with j%count == index. The count slices are
-// pairwise disjoint and their union is exactly Units, so count processes
-// each executing one shard compute the full plan with no unit done twice.
-func (p *Plan) Shard(index, count int) ([]Unit, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("experiments: shard count %d must be >= 1", count)
-	}
-	if index < 0 || index >= count {
-		return nil, fmt.Errorf("experiments: shard index %d outside 0..%d", index, count-1)
-	}
-	var out []Unit
-	for j := index; j < len(p.Units); j += count {
-		out = append(out, p.Units[j])
-	}
-	return out, nil
-}
-
 // Executor computes assigned units into the plan's result store.
 type Executor struct {
 	cfg Config
@@ -161,8 +144,8 @@ func (p *Plan) Executor() *Executor {
 }
 
 // Execute computes the given units on the run's worker pool, serving
-// units already in the store and storing the rest — the work a shard
-// process performs. It renders nothing; rendering reads the merged store
+// units already in the store and storing the rest — the work a
+// worker performs for each lease. It renders nothing; rendering reads the merged store
 // through RunSpecs.
 func (e *Executor) Execute(units []Unit) error {
 	eng := e.cfg.eng()
@@ -171,9 +154,4 @@ func (e *Executor) Execute(units []Unit) error {
 		return struct{}{}, units[i].exec(st)
 	})
 	return err
-}
-
-// Stats reports the executor's store counters.
-func (e *Executor) Stats() resultstore.Stats {
-	return e.cfg.store().Stats()
 }

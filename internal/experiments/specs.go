@@ -140,7 +140,7 @@ func findSpec(id string) (Spec, error) {
 // once per invocation, whether it was computed earlier in this run or by
 // a previous one (cfg.Store opened on a directory or remote URL). Output
 // is byte-identical for every worker count, for cold versus warm stores,
-// and for single-process versus sharded execution.
+// and for single-process versus work-stealing execution.
 func RunSpecs(cfg Config, w io.Writer, ids ...string) error {
 	resolved := make([]Spec, 0, len(ids))
 	for _, id := range ids {

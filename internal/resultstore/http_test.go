@@ -242,7 +242,7 @@ func TestHTTPServerRefusesDamagedEntryOnGet(t *testing.T) {
 }
 
 // TestHTTPStoreInterchangeableWithDir pins the deployment property the
-// sharded pipeline uses: entries written over HTTP are read by a
+// distributed pipeline uses: entries written over HTTP are read by a
 // directory store on the served directory, and vice versa.
 func TestHTTPStoreInterchangeableWithDir(t *testing.T) {
 	dir := t.TempDir()
@@ -332,7 +332,7 @@ func TestHTTPServerList(t *testing.T) {
 
 // TestHTTPStoreUnreachableDegrades pins the failure split: a dead remote
 // makes Get a recomputable miss (corrupt counter) but makes Put fail —
-// a shard must never pretend it published results.
+// a worker must never pretend it published results.
 func TestHTTPStoreUnreachableDegrades(t *testing.T) {
 	ts, _ := storeServer(t, t.TempDir())
 	url := ts.URL

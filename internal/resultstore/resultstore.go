@@ -13,9 +13,9 @@
 //     executes its planned units, then renders from them.
 //   - Open on a directory persists entries as one file per unit, so runs
 //     are resumable across processes and the directory is the merge
-//     point of sharded runs.
+//     point of work-stealing runs.
 //   - Open on an http:// or https:// URL talks to a remote store served
-//     by NewHTTPHandler (mounted by dtrankd under /v1/store/), so shards
+//     by NewHTTPHandler (mounted by dtrankd under /v1/store/), so workers
 //     on different machines merge through one daemon.
 //
 // Every backend carries the same in-memory byte cache in front, and every
@@ -32,7 +32,7 @@
 // share a directory with a dtrankd model registry (index.json + *.dtm):
 // the two subsystems use disjoint file names. A directory served by
 // dtrankd's /v1/store/ endpoints is interchangeable with the same
-// directory opened locally — shards may write over HTTP and the final
+// directory opened locally — workers may write over HTTP and the final
 // render may read the directory directly, or vice versa.
 package resultstore
 
@@ -313,7 +313,7 @@ type Store interface {
 // backend persists framed entries under stems. load returns (nil, nil)
 // for an absent entry; any error is treated by the cache as a corrupt
 // (recomputable) miss, so a flaky backend degrades to recomputation
-// rather than failing the run. store errors do fail the run — a shard
+// rather than failing the run. store errors do fail the run — a worker
 // that cannot publish results must not pretend it did.
 type backend interface {
 	load(key Key) ([]byte, error)

@@ -32,9 +32,9 @@ type Options struct {
 	// MaxModels bounds the model registry (0 means DefaultMaxModels).
 	MaxModels int
 	// StoreDir, when set, serves the experiment result store under this
-	// directory on /v1/store/ (dtrankd's -cache flag): sharded `dtrank
-	// run -shard -cache http://...` processes merge their units through
-	// the daemon, and the directory stays interchangeable with a local
+	// directory on /v1/store/ (dtrankd's -cache flag): `dtrank run
+	// -worker http://...` processes merge their units through the
+	// daemon, and the directory stays interchangeable with a local
 	// `-cache dir` store.
 	StoreDir string
 	// Coordinator, when set, serves the lease-based work-stealing
@@ -327,7 +327,7 @@ type RankEntry struct {
 
 // RankResponse is the body of a successful POST /v1/rank — and, byte for
 // byte, of `dtrank rank -json`: both paths fill it from the same
-// deterministic fit, which is what the serve-smoke CI job asserts.
+// deterministic fit, which is what the smoke scenario's serve phase asserts.
 type RankResponse struct {
 	Family   string             `json:"family"`
 	App      string             `json:"app,omitempty"`
@@ -533,8 +533,8 @@ func (s *Server) predict(ctx context.Context, snap *snapshot, key Key, canon str
 //
 // With Options.StoreDir set, the experiment result store is additionally
 // served under /v1/store/ (GET/PUT one CRC-checked entry per unit, GET
-// the collection for a listing) — the merge point of `dtrank run -shard
-// -cache http://host:port` processes. With Options.Coordinator set, the
+// the collection for a listing) — the merge point of `dtrank run
+// -cache http://host:port` and `-worker` processes. With Options.Coordinator set, the
 // work-stealing protocol is served under /v1/work/ (POST lease /
 // heartbeat / complete, GET status) — the control plane of `dtrank run
 // -worker http://host:port` processes.

@@ -3,8 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 )
 
 // Kendall returns the Kendall τ-b rank correlation of the paired samples,
@@ -43,52 +41,6 @@ func Kendall(x, y []float64) (float64, error) {
 		return 0, nil
 	}
 	return (concordant - discordant) / den, nil
-}
-
-// Interval is a two-sided confidence interval.
-type Interval struct {
-	Lo, Hi float64
-	// Level is the nominal coverage, e.g. 0.95.
-	Level float64
-}
-
-// BootstrapCI estimates a percentile bootstrap confidence interval for a
-// statistic of the sample xs, using b resamples drawn with rng.
-func BootstrapCI(xs []float64, statistic func([]float64) float64, b int, level float64, rng *rand.Rand) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, ErrEmpty
-	}
-	if statistic == nil {
-		return Interval{}, fmt.Errorf("stats: nil statistic")
-	}
-	if b < 2 {
-		return Interval{}, fmt.Errorf("stats: %d bootstrap resamples, need >= 2", b)
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, fmt.Errorf("stats: confidence level %v out of (0,1)", level)
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	vals := make([]float64, b)
-	resample := make([]float64, len(xs))
-	for i := 0; i < b; i++ {
-		for j := range resample {
-			resample[j] = xs[rng.Intn(len(xs))]
-		}
-		vals[i] = statistic(resample)
-	}
-	sort.Float64s(vals)
-	alpha := (1 - level) / 2
-	lo, err := Quantile(vals, alpha)
-	if err != nil {
-		return Interval{}, err
-	}
-	hi, err := Quantile(vals, 1-alpha)
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{Lo: lo, Hi: hi, Level: level}, nil
 }
 
 // Histogram bins xs into n equal-width bins over [min, max] and returns

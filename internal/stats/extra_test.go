@@ -67,47 +67,6 @@ func TestKendallSpearmanAgreementProperty(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	ci, err := BootstrapCI(xs, Mean, 500, 0.95, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lo > 10 || ci.Hi < 10 {
-		t.Fatalf("CI [%v, %v] misses the true mean 10", ci.Lo, ci.Hi)
-	}
-	if ci.Hi-ci.Lo > 0.5 {
-		t.Fatalf("CI width %v too wide for n=200", ci.Hi-ci.Lo)
-	}
-	if ci.Level != 0.95 {
-		t.Fatalf("level %v", ci.Level)
-	}
-}
-
-func TestBootstrapCIErrors(t *testing.T) {
-	if _, err := BootstrapCI(nil, Mean, 10, 0.9, nil); err == nil {
-		t.Fatal("want empty error")
-	}
-	if _, err := BootstrapCI([]float64{1}, nil, 10, 0.9, nil); err == nil {
-		t.Fatal("want nil-statistic error")
-	}
-	if _, err := BootstrapCI([]float64{1}, Mean, 1, 0.9, nil); err == nil {
-		t.Fatal("want resample-count error")
-	}
-	if _, err := BootstrapCI([]float64{1}, Mean, 10, 1.5, nil); err == nil {
-		t.Fatal("want level error")
-	}
-	// nil rng falls back to a deterministic source.
-	ci, err := BootstrapCI([]float64{1, 2, 3}, Mean, 50, 0.9, nil)
-	if err != nil || math.IsNaN(ci.Lo) {
-		t.Fatalf("nil rng: %v, %v", ci, err)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	counts, edges, err := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
 	if err != nil {

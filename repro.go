@@ -18,7 +18,8 @@
 // The paper's predictors are provided — the two data-transposition
 // models (NewNNT, NewMLPT) and the prior-art workload-similarity
 // baseline (NewGAKNN) — plus two extensions: spline transposition
-// (NewSPLT) and a plain machine-space kNN baseline (NewKNNM). The
+// (NewSPLT) and a plain machine-space kNN baseline, which a RankServer
+// serves under the method name "kNN^M" (see Methods). The
 // experiments subcommands reproduce every table and figure of the
 // paper's evaluation; see the EXPERIMENTS.md file.
 //
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/coord"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -116,30 +116,6 @@ type (
 	ResultStore = resultstore.Store
 	// ResultKey addresses one experiment unit in a ResultStore.
 	ResultKey = resultstore.Key
-	// ExperimentPlan is the deterministic unit list of a spec set — the
-	// fan-out side of the plan/execute pipeline (PlanExperimentSpecs,
-	// Plan.Shard, Plan.Executor).
-	ExperimentPlan = experiments.Plan
-	// ExperimentUnit is one planned experiment unit (a table cell, figure
-	// point or ablation variant) addressed by its ResultKey.
-	ExperimentUnit = experiments.Unit
-	// WorkCoordinator is the lease-based work-stealing coordinator dtrankd
-	// serves under /v1/work/ with -coordinate: a pending queue of planned
-	// unit keys, leases with TTL expiry and heartbeat extension, and
-	// adaptive batch sizing from observed unit cost. NewWorkCoordinator
-	// builds one from an ExperimentPlan.
-	WorkCoordinator = coord.Coordinator
-	// WorkCoordinatorOptions configures a WorkCoordinator (lease TTL,
-	// batch cap, clock injection for tests).
-	WorkCoordinatorOptions = coord.Options
-	// WorkClient is the HTTP client side of the /v1/work/ protocol, with
-	// bounded retry and backoff on transport errors and 5xx responses.
-	WorkClient = coord.Client
-	// WorkWorker is the lease → execute → complete loop of one worker
-	// process — what `dtrank run -worker URL` runs, reusable in-library.
-	WorkWorker = coord.Worker
-	// WorkerStats summarises one WorkWorker.Run.
-	WorkerStats = coord.WorkerStats
 )
 
 // DefaultDatasetOptions returns the synthesis options used for all
@@ -202,13 +178,6 @@ func NewGAKNN(seed int64) Predictor { return gaknn.New(seed) }
 // regression splines, an extension beyond the paper's two models after the
 // spline-based empirical models of Lee & Brooks its related work discusses.
 func NewSPLT() Predictor { return transpose.NewSPLT() }
-
-// NewKNNM returns the kNNᴹ baseline — plain k-nearest-neighbour
-// prediction in machine space (log₂ benchmark-profile distance, no
-// regression, no learned weights), the k-neighbour generalisation of
-// NNᵀ's pick-the-best-machine step, registered to calibrate how much
-// the transposition models add.
-func NewKNNM() Predictor { return transpose.NewKNNM() }
 
 // NewFold prepares a leave-one-out prediction task: the named benchmark is
 // removed from both matrices and plays the application of interest. The
@@ -363,31 +332,6 @@ func RunExperimentSpecs(cfg ExperimentConfig, w io.Writer, ids ...string) error 
 // -cache directory is interchangeable with local directory access.
 func OpenResultStore(loc string) (ResultStore, error) { return resultstore.Open(loc) }
 
-// NewWorkCoordinator builds the work-stealing coordinator over a plan's
-// unit list: the control plane dtrankd -coordinate serves under
-// /v1/work/. The plan fingerprint is echoed in every grant so workers
-// started with mismatched experiment flags abort instead of computing a
-// different unit set.
-func NewWorkCoordinator(plan *ExperimentPlan, opts WorkCoordinatorOptions) (*WorkCoordinator, error) {
-	return coord.New(plan.Fingerprint(), plan.Keys(), opts)
-}
-
-// NewWorkClient opens the client side of the /v1/work/ protocol on a
-// coordinator URL (a URL without a path addresses the default mount,
-// /v1/work). Calls retry transient transport errors and 5xx responses
-// with exponential backoff.
-func NewWorkClient(loc string) (*WorkClient, error) { return coord.NewClient(loc) }
-
-// PlanExperimentSpecs enumerates every unit the named experiment specs
-// read, without computing anything — the fan-out side of distributed
-// runs: n processes each execute one Plan.Shard(i, n) slice into a
-// shared store (Plan.Executor), and any process renders the merged
-// report with RunExperimentSpecs, byte-identical to a single-process
-// run.
-func PlanExperimentSpecs(cfg ExperimentConfig, ids ...string) (*ExperimentPlan, error) {
-	return experiments.PlanSpecs(cfg, ids...)
-}
-
 // Methods lists the registered prediction methods — names, aliases, the
 // seed-offset convention and capability flags — from the single registry
 // that the CLI, the server and the experiment pipeline all build on.
@@ -420,6 +364,3 @@ func DecodeModel(r io.Reader) (Model, error) { return transpose.DecodeModel(r) }
 // n <= 0 restores the default, runtime.GOMAXPROCS(0). Parallelism never
 // changes results, only wall-clock time.
 func SetWorkers(n int) { engine.SetDefaultWorkers(n) }
-
-// Workers reports the current process-wide worker budget.
-func Workers() int { return engine.Default().Workers() }
