@@ -4,15 +4,17 @@
 GO ?= go
 DATE ?= $(shell date +%Y-%m-%d)
 
-.PHONY: build test fuzz bench bench-json bench-gate examples serve smoke lint staticcheck ci
+.PHONY: build test fuzz bench bench-module bench-json bench-gate examples serve smoke lint staticcheck ci
 
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
+# The second run takes math.Exp off its FMA path, where lanes.Exp and
+# lanes.Pow must equal math.Exp and math.Pow bit for bit.
 test:
 	$(GO) test -race -timeout 30m ./...
-	GODEBUG=cpu.fma=off $(GO) test ./internal/lanes ./internal/mlp ./internal/gaknn ./internal/transpose
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/lanes
 
 # Each fuzz target runs briefly on top of its committed seed corpus
 # (internal/*/testdata/fuzz); plain `go test` replays the corpora only.
@@ -31,6 +33,13 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
+
+# bench/ is its own Go module, so the root `go test ./...` never reaches
+# it: vet and test it, then run every workload once in smoke mode
+# against freshly built dtrank and dtrankd.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh --smoke
 
 # Record a performance snapshot: run the benchmark suite with -benchmem
 # plus the smoke scenario's short serving loadtest (smoke.sh prints only
@@ -71,10 +80,17 @@ serve:
 smoke:
 	./scripts/smoke.sh
 
+# Every exponential goes through lanes.Exp or lanes.Pow, which give one
+# result on every amd64 CPU; math.Exp's result depends on whether the
+# CPU has FMA. bench/ is its own module and feeds no result.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
+	fi
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		-e 'math\.Exp(' -e 'math\.Pow(' . | grep -v '^\./internal/lanes/'); if [ -n "$$out" ]; then \
+		echo "use lanes.Exp or lanes.Pow in place of:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
 # Mirrors the CI staticcheck job. CI installs the pinned version; locally
@@ -87,4 +103,4 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; \
 	fi
 
-ci: lint staticcheck build test fuzz bench bench-gate examples smoke
+ci: lint staticcheck build test fuzz bench bench-module bench-gate examples smoke

@@ -202,10 +202,3 @@ func (m *Matrix) MulVecTInto(dst, v []float64) error {
 	}
 	return nil
 }
-
-// ScaleInPlace multiplies every element of v by s in place.
-func ScaleInPlace(s float64, v []float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}

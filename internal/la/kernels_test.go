@@ -174,20 +174,6 @@ func TestTIntoMatchesT(t *testing.T) {
 	}
 }
 
-// TestScaleInPlaceMatchesScaleVec checks ScaleInPlace against a scaled
-// copy built element by element, as the deleted ScaleVec built it.
-func TestScaleInPlaceMatchesScaleVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	v := kernRandVec(rng, 33)
-	s := rng.Float64() * 3
-	want := make([]float64, len(v))
-	for i, x := range v {
-		want[i] = s * x
-	}
-	ScaleInPlace(s, v)
-	requireBitwise(t, "ScaleInPlace", v, want)
-}
-
 func TestSolveIntoMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, n := range []int{1, 2, 5, 9} {

@@ -153,9 +153,6 @@ func TestAddSubScale(t *testing.T) {
 	if diff.At(0, 0) != 9 {
 		t.Fatalf("SubM wrong: %v", diff)
 	}
-	if got := a.Scale(2).At(1, 0); got != 6 {
-		t.Fatalf("Scale wrong: %v", got)
-	}
 	if _, err := a.AddM(NewMatrix(1, 2)); err == nil {
 		t.Fatal("expected shape error on AddM")
 	}

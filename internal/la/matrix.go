@@ -327,15 +327,6 @@ func (m *Matrix) SubM(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Scale returns m with every element multiplied by s.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
 // MaxAbs returns the largest absolute element value, or 0 for an empty matrix.
 func (m *Matrix) MaxAbs() float64 {
 	max := 0.0

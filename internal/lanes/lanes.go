@@ -3,35 +3,34 @@
 // over a layer's sums, and three for GA-kNN's leave-one-out fitness:
 // the weighted pair distances, the rank of every candidate neighbour in
 // each benchmark's distance row, and the weighted vote with its error
-// sum.
+// sum. It also holds Exp and Pow, the exponentials every result of the
+// program goes through.
 //
-// Every kernel exists twice: AVX2 assembly on amd64 CPUs that pass the
-// gate, and a Go loop over the same lane layout everywhere else. The
-// two are bit-identical. Each lane runs the IEEE operations of the
-// scalar code on the same operands in the same order, with no fused
-// multiply-add where the scalar code rounds twice, and a sum across
-// lanes adds them one at a time in the scalar order. The packed sigmoid repeats math.Exp's amd64 FMA path
-// instruction for instruction, so it can equal math.Exp only where
-// math.Exp takes that path. The gate therefore probes it against the
-// scalar sigmoid at start-up: GODEBUG=cpu.fma=off or cpu.avx=off sends
-// math.Exp down its SSE2 path, the probe fails, and the Go loops run.
+// Every kernel exists twice: AVX2 assembly on amd64 CPUs that have it,
+// and a Go loop over the same lane layout everywhere else. The two are
+// bit-identical. Each lane runs the IEEE operations of the scalar code
+// on the same operands in the same order, with no fused multiply-add,
+// and a sum across lanes adds them one at a time in the scalar order.
+// The packed sigmoid repeats Exp operation for operation. Exp rounds
+// every step on its own, as math.Exp's amd64 SSE2 path does, so neither
+// a result nor the choice of kernel depends on whether an amd64 CPU has
+// FMA.
 // No flag, variable or build tag picks a kernel.
 package lanes
 
 import "math"
 
 // enabled reports whether the assembly kernels run: the CPU has AVX2
-// and FMA, the OS saves YMM state, and the packed sigmoid equals
-// Sigmoid bit for bit on every probe input.
-var enabled = hasAVX2FMA && probe()
+// and the OS saves YMM state.
+var enabled = hasAVX2
 
 // Sigmoid is the logistic function 1/(1+e^-x), the activation of
 // MLP^T's hidden units.
-func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+func Sigmoid(x float64) float64 { return 1 / (1 + Exp(-x)) }
 
 // expLimit bounds the inputs the packed sigmoid handles: within it
-// math.Exp(-x) takes neither its overflow nor its subnormal branch.
-// Lanes beyond it, and NaN or ±Inf lanes, fall back to Sigmoid.
+// Exp(-x) takes neither its overflow nor its subnormal branch. Lanes
+// beyond it, and NaN or ±Inf lanes, fall back to Sigmoid.
 const expLimit = 700
 
 // Sigmoids replaces every x[i] with Sigmoid(x[i]).
@@ -57,29 +56,6 @@ func sigmoidLanes(x []float64) {
 			}
 		}
 	}
-}
-
-// probeInputs are sigmoid inputs the packed kernel must match before it
-// is used. -0.46401051982578045 and 1.5221724909664682 are inputs on
-// which math.Exp's FMA and SSE2 paths round differently, so the probe
-// fails whenever math.Exp does not take the path the kernel repeats.
-// The rest span the served range, both signs of zero, and the fallback
-// lanes. The length is a multiple of four.
-var probeInputs = [...]float64{
-	-0.46401051982578045, 1.5221724909664682, 0, math.Copysign(0, -1),
-	1e-300, -3.25, 17.5, -699.9,
-	699.9, -700.5, math.Inf(-1), math.NaN(),
-}
-
-func probe() bool {
-	got := probeInputs
-	sigmoidLanes(got[:])
-	for i, x := range probeInputs {
-		if math.Float64bits(got[i]) != math.Float64bits(Sigmoid(x)) {
-			return false
-		}
-	}
-	return true
 }
 
 // stepUnits is the most units one stepAVX2 call keeps in registers.

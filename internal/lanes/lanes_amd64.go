@@ -2,12 +2,11 @@
 
 package lanes
 
-// hasAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves
-// the YMM registers across context switches.
-var hasAVX2FMA = func() bool {
+// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches.
+var hasAVX2 = func() bool {
 	const (
-		fma     = 1 << 12 // CPUID.1:ECX
-		osxsave = 1 << 27
+		osxsave = 1 << 27 // CPUID.1:ECX
 		avx     = 1 << 28
 		avx2    = 1 << 5 // CPUID.(7,0):EBX
 		ymm     = 6      // XCR0: SSE and AVX state
@@ -16,7 +15,7 @@ var hasAVX2FMA = func() bool {
 		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	if ecx1&(fma|osxsave|avx) != fma|osxsave|avx {
+	if ecx1&(osxsave|avx) != osxsave|avx {
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&ymm != ymm {

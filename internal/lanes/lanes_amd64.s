@@ -21,8 +21,8 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL   DX, edx+4(FP)
 	RET
 
-// The constants of math.Exp's amd64 assembly (math/exp_amd64.s), with
-// the same literals, and the sigmoid's range limit.
+// The constants of Exp, with math.Exp's amd64 literals, and the
+// sigmoid's range limit.
 DATA expc<>+0(SB)/8, $1.4426950408889634073599246810018920         // LOG2E
 DATA expc<>+8(SB)/8, $0.69314718055966295651160180568695068359375  // LN2U
 DATA expc<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
@@ -37,98 +37,165 @@ DATA expc<>+80(SB)/8, $0.5
 DATA expc<>+88(SB)/8, $1.0
 DATA expc<>+96(SB)/8, $2.0
 DATA expc<>+104(SB)/8, $700.0 // expLimit
-GLOBL expc<>(SB), RODATA|NOPTR, $112
+DATA expc<>+112(SB)/8, $4503599627371519.0 // 2^52 + 1023
+GLOBL expc<>(SB), RODATA|NOPTR, $120
+
+// The sigmoid's steps for one lane group with registers S, R, P and K.
+// S holds s and then temporaries, R the reduced argument r, P k and
+// then the polynomial p, K the scale 2^k. Y15 holds the constant of the
+// step.
+
+// SIGLOAD loads s and sets r = -s.
+#define SIGLOAD(IDX, S, R) \
+	VMOVUPD (SI)(IDX*8), S; \
+	VXORPD  Y14, S, R
+
+// SIGROUND sets P to k = round(r·LOG2E), ties to even, and K to
+// k + 2^52 + 1023, whose low bits are k's biased exponent.
+#define SIGROUND(R, P, K) \
+	VMULPD   Y9, R, P;  \
+	VROUNDPD $0, P, P;  \
+	VADDPD   Y8, P, K
+
+// SIGREDUCE runs r −= k·c.
+#define SIGREDUCE(S, R, P) \
+	VMULPD Y15, P, S; \
+	VSUBPD S, R, R
+
+// SIGHORNER runs p = p + c, then p·r.
+#define SIGHORNER(R, P) \
+	VADDPD Y15, P, P; \
+	VMULPD R, P, P
+
+// SIGSQUARE runs r = r·(r+2).
+#define SIGSQUARE(R, P) \
+	VADDPD Y10, R, P; \
+	VMULPD P, R, R
+
+// SIGFINISH takes r+1, scales it by 2^k and sets r = 1/(1+e).
+#define SIGFINISH(R, K) \
+	VADDPD Y11, R, R;  \
+	VPSLLQ $52, K, K;  \
+	VMULPD K, R, R;    \
+	VADDPD Y11, R, R;  \
+	VDIVPD R, Y11, R
+
+// SIGMASK reloads s into S and sets P to the lanes with |s| <= limit,
+// false for NaN, and ANDs their bits into R9.
+#define SIGMASK(IDX, S, P) \
+	VMOVUPD   (SI)(IDX*8), S; \
+	VANDPD    Y13, S, P;      \
+	VCMPPD    $2, Y12, P, P;  \
+	VMOVMSKPD P, R10;         \
+	ANDL      R10, R9
+
+// SIGSTORE stores the sigmoids; out-of-range lanes keep s.
+#define SIGSTORE(IDX, S, R, P) \
+	VBLENDVPD P, R, S, S; \
+	VMOVUPD   S, (SI)(IDX*8)
 
 // func sigmoidAVX2(x []float64) (kept bool)
 //
-// Each lane computes 1/(1+e) with e = exp(-s) by math.Exp's FMA path
-// (archExp after its range checks, with useFMA set), packed: the same
-// operations on the same operands in the same order, so each in-range
-// lane equals Sigmoid(s) wherever math.Exp takes that path.
+// Each lane computes 1/(1+e) with e = Exp(-s), packed: the same
+// operations on the same operands in the same order, every product and
+// sum rounded on its own, so each in-range lane equals Sigmoid(s). Two
+// lane groups, at AX and BX, run interleaved so that one's long chain
+// of dependent steps overlaps the other's; a last lone group runs as
+// both, each reading s before either stores.
 //
 // Register use:
 //
-//	SI, CX, AX  x, len(x), index
-//	R9          AND of the lanes' in-range bits
-//	Y0          s;  Y1 |s| <= limit mask;  Y2 the reduced argument r
-//	Y3          k, then the polynomial;  X4 k as int32;  Y5 temporary
-//	Y9-Y15      LOG2E, 1023 (int64), 2, 1, limit, abs mask, sign mask
+//	SI, CX      x, len(x);  AX, BX  the two groups' indices
+//	R9          AND of the lanes' in-range bits;  DX, R10 temporaries
+//	Y0-Y3       group A's S, R, P, K;  Y4-Y7  group B's
+//	Y8-Y14      2^52+1023, LOG2E, 2, 1, limit, abs mask, sign mask
+//	Y15         the constant of the step
 TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-25
 	MOVQ         x_base+0(FP), SI
 	MOVQ         x_len+8(FP), CX
-	VPCMPEQQ     Y15, Y15, Y15
-	VPSRLQ       $1, Y15, Y14
-	VPSLLQ       $63, Y15, Y15
-	VPCMPEQQ     Y10, Y10, Y10
-	VPSRLQ       $54, Y10, Y10
+	VPCMPEQQ     Y14, Y14, Y14
+	VPSRLQ       $1, Y14, Y13
+	VPSLLQ       $63, Y14, Y14
+	VBROADCASTSD expc<>+112(SB), Y8
 	VBROADCASTSD expc<>+0(SB), Y9
-	VBROADCASTSD expc<>+88(SB), Y12
-	VBROADCASTSD expc<>+96(SB), Y11
-	VBROADCASTSD expc<>+104(SB), Y13
+	VBROADCASTSD expc<>+96(SB), Y10
+	VBROADCASTSD expc<>+88(SB), Y11
+	VBROADCASTSD expc<>+104(SB), Y12
 	MOVL         $15, R9
 	XORQ         AX, AX
 
 sigloop:
 	CMPQ AX, CX
 	JGE  sigdone
+	LEAQ 4(AX), BX
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JLE  sigpair
+	MOVQ AX, BX
 
-	VMOVUPD   (SI)(AX*8), Y0
-	VANDPD    Y14, Y0, Y1
-	VCMPPD    $2, Y13, Y1, Y1 // |s| <= limit, false for NaN
-	VMOVMSKPD Y1, DX
-	ANDL      DX, R9
-	VXORPD    Y15, Y0, Y2     // x = -s
+sigpair:
+	SIGLOAD(AX, Y0, Y1)
+	SIGLOAD(BX, Y4, Y5)
+	SIGROUND(Y1, Y2, Y3)
+	SIGROUND(Y5, Y6, Y7)
 
-	// k = round(x·LOG2E);  r = ((x − k·LN2U) − k·LN2L)·0.0625, fused
-	VMULPD       Y9, Y2, Y3
-	VCVTPD2DQY   Y3, X4
-	VCVTDQ2PD    X4, Y3
-	VBROADCASTSD expc<>+8(SB), Y5
-	VFNMADD231PD Y5, Y3, Y2
-	VBROADCASTSD expc<>+16(SB), Y5
-	VFNMADD231PD Y5, Y3, Y2
-	VBROADCASTSD expc<>+24(SB), Y5
-	VMULPD       Y5, Y2, Y2
+	// r = ((x − k·LN2U) − k·LN2L)·0.0625 with x = -s
+	VBROADCASTSD expc<>+8(SB), Y15
+	SIGREDUCE(Y0, Y1, Y2)
+	SIGREDUCE(Y4, Y5, Y6)
+	VBROADCASTSD expc<>+16(SB), Y15
+	SIGREDUCE(Y0, Y1, Y2)
+	SIGREDUCE(Y4, Y5, Y6)
+	VBROADCASTSD expc<>+24(SB), Y15
+	VMULPD       Y15, Y1, Y1
+	VMULPD       Y15, Y5, Y5
 
-	// Taylor series in Horner form, one FMA per coefficient
-	VBROADCASTSD expc<>+32(SB), Y3
-	VBROADCASTSD expc<>+40(SB), Y5
-	VFMADD213PD  Y5, Y2, Y3
-	VBROADCASTSD expc<>+48(SB), Y5
-	VFMADD213PD  Y5, Y2, Y3
-	VBROADCASTSD expc<>+56(SB), Y5
-	VFMADD213PD  Y5, Y2, Y3
-	VBROADCASTSD expc<>+64(SB), Y5
-	VFMADD213PD  Y5, Y2, Y3
-	VBROADCASTSD expc<>+72(SB), Y5
-	VFMADD213PD  Y5, Y2, Y3
-	VBROADCASTSD expc<>+80(SB), Y5
-	VFMADD213PD  Y5, Y2, Y3
-	VFMADD213PD  Y12, Y2, Y3
+	// Taylor series in Horner form: p = p·r + c per coefficient
+	VBROADCASTSD expc<>+32(SB), Y15
+	VMULPD       Y15, Y1, Y2
+	VMULPD       Y15, Y5, Y6
+	VBROADCASTSD expc<>+40(SB), Y15
+	SIGHORNER(Y1, Y2)
+	SIGHORNER(Y5, Y6)
+	VBROADCASTSD expc<>+48(SB), Y15
+	SIGHORNER(Y1, Y2)
+	SIGHORNER(Y5, Y6)
+	VBROADCASTSD expc<>+56(SB), Y15
+	SIGHORNER(Y1, Y2)
+	SIGHORNER(Y5, Y6)
+	VBROADCASTSD expc<>+64(SB), Y15
+	SIGHORNER(Y1, Y2)
+	SIGHORNER(Y5, Y6)
+	VBROADCASTSD expc<>+72(SB), Y15
+	SIGHORNER(Y1, Y2)
+	SIGHORNER(Y5, Y6)
+	VBROADCASTSD expc<>+80(SB), Y15
+	SIGHORNER(Y1, Y2)
+	SIGHORNER(Y5, Y6)
+	VADDPD       Y11, Y2, Y2
+	VADDPD       Y11, Y6, Y6
 
-	// four squarings undo the 0.0625: r·(r+2) three times, the last
-	// one's +1 fused
-	VMULPD      Y3, Y2, Y2
-	VADDPD      Y11, Y2, Y3
-	VMULPD      Y3, Y2, Y2
-	VADDPD      Y11, Y2, Y3
-	VMULPD      Y3, Y2, Y2
-	VADDPD      Y11, Y2, Y3
-	VMULPD      Y3, Y2, Y2
-	VADDPD      Y11, Y2, Y3
-	VFMADD213PD Y12, Y3, Y2
+	// r·p, then four squarings undo the 0.0625
+	VMULPD Y2, Y1, Y1
+	VMULPD Y6, Y5, Y5
+	SIGSQUARE(Y1, Y2)
+	SIGSQUARE(Y5, Y6)
+	SIGSQUARE(Y1, Y2)
+	SIGSQUARE(Y5, Y6)
+	SIGSQUARE(Y1, Y2)
+	SIGSQUARE(Y5, Y6)
+	SIGSQUARE(Y1, Y2)
+	SIGSQUARE(Y5, Y6)
 
-	// e = fr·2^k, then 1/(1+e); out-of-range lanes keep s
-	VPMOVSXDQ X4, Y5
-	VPADDQ    Y10, Y5, Y5
-	VPSLLQ    $52, Y5, Y5
-	VMULPD    Y5, Y2, Y2
-	VADDPD    Y12, Y2, Y2
-	VDIVPD    Y2, Y12, Y2
-	VBLENDVPD Y1, Y2, Y0, Y0
-	VMOVUPD   Y0, (SI)(AX*8)
-	ADDQ      $4, AX
-	JMP       sigloop
+	// e = (r+1)·2^k, then 1/(1+e); out-of-range lanes keep s
+	SIGFINISH(Y1, Y3)
+	SIGFINISH(Y5, Y7)
+	SIGMASK(AX, Y0, Y2)
+	SIGMASK(BX, Y4, Y6)
+	SIGSTORE(AX, Y0, Y1, Y2)
+	SIGSTORE(BX, Y4, Y5, Y6)
+	LEAQ 4(BX), AX
+	JMP  sigloop
 
 sigdone:
 	VZEROUPPER

@@ -4,7 +4,7 @@ package lanes
 
 // Only amd64 has the assembly kernels; every other GOARCH runs the Go
 // lane loops.
-const hasAVX2FMA = false
+const hasAVX2 = false
 
 func sigmoidAVX2([]float64) bool { panic("lanes: no assembly kernels on this GOARCH") }
 

@@ -18,69 +18,36 @@ func requireSameBits(t *testing.T, ctx, what string, got, want []float64) {
 	}
 }
 
-// TestLaneGateProbe pins the gate to the path math.Exp takes. The probe
-// must hold an input on which math.Exp's SSE2 and FMA paths give
-// different sigmoids; on every in-range probe input math.Exp must equal
-// one of the two transcriptions; and the lanes are on exactly when the
-// CPU has them and math.Exp took the FMA path that the packed sigmoid
-// repeats. Under GODEBUG=cpu.fma=off the gate must read off.
-func TestLaneGateProbe(t *testing.T) {
-	differs, onFMA, onSSE2 := false, 0, 0
-	for _, s := range probeInputs {
-		if !(math.Abs(s) <= expLimit) {
-			continue
-		}
-		x := -s
-		got, sse2, fma := math.Exp(x), expSSE2(x), expFMA(x)
-		if got != sse2 && got != fma {
-			t.Fatalf("math.Exp(%v) = %v matches neither the SSE2 (%v) nor the FMA (%v) transcription", x, got, sse2, fma)
-		}
-		if 1/(1+sse2) != 1/(1+fma) {
-			differs = true
-		}
-		if sse2 != fma {
-			if got == fma {
-				onFMA++
-			} else {
-				onSSE2++
-			}
-		}
-	}
-	if !differs {
-		t.Fatal("no probe input tells math.Exp's SSE2 path from its FMA path")
-	}
-	if onFMA > 0 && onSSE2 > 0 {
-		t.Fatalf("math.Exp took the FMA path on %d probe inputs and the SSE2 path on %d", onFMA, onSSE2)
-	}
-	if want := hasAVX2FMA && onSSE2 == 0; enabled != want {
-		t.Fatalf("enabled = %v with AVX2+FMA %v and math.Exp on its FMA path %v", enabled, hasAVX2FMA, onSSE2 == 0)
-	}
-}
-
 // TestSigmoidsMatchSigmoid covers every slice length's split between
 // the lanes and the scalar tail, with fallback lanes among them, and
 // then sweeps random inputs over the served range and up to the limit.
+// It runs once as the gate has it and once with the assembly off, the
+// path of every CPU without AVX2.
 func TestSigmoidsMatchSigmoid(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	check := func(x []float64) {
-		t.Helper()
-		got := slices.Clone(x)
-		Sigmoids(got)
-		for i, v := range x {
-			if math.Float64bits(got[i]) != math.Float64bits(Sigmoid(v)) {
-				t.Fatalf("len %d: Sigmoids[%d] of %v = %v, Sigmoid %v", len(x), i, v, got[i], Sigmoid(v))
+	defer func(on bool) { enabled = on }(enabled)
+	for _, on := range []bool{enabled, false} {
+		enabled = on
+		rng := rand.New(rand.NewSource(1))
+		check := func(x []float64) {
+			t.Helper()
+			got := slices.Clone(x)
+			Sigmoids(got)
+			for i, v := range x {
+				if math.Float64bits(got[i]) != math.Float64bits(Sigmoid(v)) {
+					t.Fatalf("enabled %v, len %d: Sigmoids[%d] of %v = %v, Sigmoid %v", on, len(x), i, v, got[i], Sigmoid(v))
+				}
 			}
 		}
-	}
-	for n := 0; n <= 17; n++ {
-		x := randVec(rng, n, 40)
-		if n > 5 {
-			x[1], x[5] = -703, math.NaN()
+		for n := 0; n <= 17; n++ {
+			x := randVec(rng, n, 40)
+			if n > 5 {
+				x[1], x[5] = -703, math.NaN()
+			}
+			check(x)
 		}
-		check(x)
-	}
-	for _, scale := range []float64{2, 40, 1420} {
-		check(randVec(rng, 1<<16, scale))
+		for _, scale := range []float64{2, 40, 1420} {
+			check(randVec(rng, 1<<16, scale))
+		}
 	}
 }
 
@@ -120,8 +87,8 @@ func randVec(rng *rand.Rand, n int, scale float64) []float64 {
 // group and more units than one call keeps in registers; the widths
 // cover the served hidden layer (28 inputs) and short rows.
 func TestStepLanesMatchesGo(t *testing.T) {
-	if !hasAVX2FMA {
-		t.Skip("no AVX2+FMA: only the Go lane loop runs here")
+	if !hasAVX2 {
+		t.Skip("no AVX2: only the Go lane loop runs here")
 	}
 	rng := rand.New(rand.NewSource(1))
 	padded := func(units, stride int, scale float64) []float64 {
@@ -186,7 +153,7 @@ func TestDistanceLanesMatchGo(t *testing.T) {
 				}
 				requireSameBits(t, ctx, "Go lanes vs chain", want[p:p+1], []float64{math.Sqrt(s)})
 			}
-			if hasAVX2FMA {
+			if hasAVX2 {
 				got := make([]float64, slots)
 				distancesAVX2(diff, w, got)
 				requireSameBits(t, ctx, "out", got, want)
@@ -245,7 +212,7 @@ func TestRanksLanesMatchGo(t *testing.T) {
 					}
 				}
 			}
-			if hasAVX2FMA {
+			if hasAVX2 {
 				got := make([]int64, n*n)
 				ranksAVX2(d, n, got)
 				if !slices.Equal(got, want) {
@@ -297,7 +264,7 @@ func TestVoteErrorsLanesMatchGo(t *testing.T) {
 				}
 			}
 			requireSameBits(t, ctx, "Go lanes vs per-target vote", []float64{want}, []float64{ref})
-			if hasAVX2FMA {
+			if hasAVX2 {
 				got, ok := voteErrorsAVX2(near, order, s, w, n, nb, k, stride, nt, eps, nb)
 				if !ok {
 					t.Fatalf("%s: assembly rejected in-range neighbours", ctx)

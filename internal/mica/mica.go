@@ -149,55 +149,3 @@ func (t *Table) Get(name string) (Workload, error) {
 
 // Len returns the number of workloads.
 func (t *Table) Len() int { return len(t.order) }
-
-// Normalized returns, for the named subset (or all workloads when names is
-// nil), the characteristic vectors z-scored per dimension. Zero-variance
-// dimensions map to 0. The returned map preserves nothing about order;
-// use Names for iteration order.
-func (t *Table) Normalized(names []string) (map[string][]float64, error) {
-	if names == nil {
-		names = t.order
-	}
-	vecs := make([][]float64, 0, len(names))
-	for _, n := range names {
-		w, err := t.Get(n)
-		if err != nil {
-			return nil, err
-		}
-		vecs = append(vecs, w.Vector())
-	}
-	if len(vecs) == 0 {
-		return map[string][]float64{}, nil
-	}
-	dim := len(vecs[0])
-	mean := make([]float64, dim)
-	for _, v := range vecs {
-		for j, x := range v {
-			mean[j] += x
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(len(vecs))
-	}
-	sd := make([]float64, dim)
-	for _, v := range vecs {
-		for j, x := range v {
-			d := x - mean[j]
-			sd[j] += d * d
-		}
-	}
-	for j := range sd {
-		sd[j] = math.Sqrt(sd[j] / float64(len(vecs)))
-	}
-	out := make(map[string][]float64, len(names))
-	for i, n := range names {
-		z := make([]float64, dim)
-		for j, x := range vecs[i] {
-			if sd[j] > 0 {
-				z[j] = (x - mean[j]) / sd[j]
-			}
-		}
-		out[n] = z
-	}
-	return out, nil
-}

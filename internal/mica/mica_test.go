@@ -130,47 +130,3 @@ func TestTableOrder(t *testing.T) {
 		t.Fatalf("unexpected order: first %s last %s", names[0], names[len(names)-1])
 	}
 }
-
-func TestNormalized(t *testing.T) {
-	tab, err := SPEC2006Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := tab.Normalized(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(z) != 29 {
-		t.Fatalf("normalised %d workloads", len(z))
-	}
-	// Each dimension must have ~zero mean across workloads.
-	dim := VectorLen
-	for j := 0; j < dim; j++ {
-		s := 0.0
-		for _, v := range z {
-			s += v[j]
-		}
-		if math.Abs(s/29) > 1e-9 {
-			t.Fatalf("dimension %d mean %v, want 0", j, s/29)
-		}
-	}
-	// Subset selection works and unknown names error.
-	sub, err := tab.Normalized([]string{"mcf", "gcc"})
-	if err != nil || len(sub) != 2 {
-		t.Fatalf("subset: %v, %v", sub, err)
-	}
-	if _, err := tab.Normalized([]string{"nope"}); err == nil {
-		t.Fatal("expected unknown-name error")
-	}
-}
-
-func TestNormalizedEmpty(t *testing.T) {
-	tab, err := NewTable(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := tab.Normalized(nil)
-	if err != nil || len(z) != 0 {
-		t.Fatalf("empty table: %v, %v", z, err)
-	}
-}

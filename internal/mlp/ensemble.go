@@ -161,10 +161,9 @@ type batchPad struct {
 
 var batchPadPool = engine.NewScratch(func() *batchPad { return &batchPad{} })
 
-// gemmTopology reports whether every member shares Nets[0]'s shape and
-// carries flat kernel storage, i.e. whether the batch can run as member
-// GEMMs. Hand-assembled or freshly deserialised-without-Repack networks
-// fail the check and take the per-sample path instead.
+// gemmTopology reports whether every member shares Nets[0]'s shape,
+// i.e. whether the batch can run as member GEMMs. Members of other
+// shapes take the per-sample path instead.
 func (e *Ensemble) gemmTopology() bool {
 	net0 := e.Nets[0]
 	for _, net := range e.Nets {
@@ -172,7 +171,7 @@ func (e *Ensemble) gemmTopology() bool {
 			return false
 		}
 		for l := range net.Layers {
-			if net.Layers[l].wm == nil || len(net.Layers[l].W) != len(net0.Layers[l].W) {
+			if len(net.Layers[l].W) != len(net0.Layers[l].W) {
 				return false
 			}
 		}

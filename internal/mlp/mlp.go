@@ -89,10 +89,9 @@ func (c Config) validate() error {
 // Weights live in one flat row-major backing array (wf) that the W rows
 // alias, with wm wrapping it as a la.Matrix: the training and batch
 // prediction kernels stream the flat storage while W keeps the
-// serialised shape (and the gob/JSON wire formats) unchanged. Layers
-// built elsewhere (hand-assembled, gob-decoded) may lack the flat
-// backing; the prediction paths check wm and fall back to the scalar
-// loops, so a non-repacked network is slower, never wrong.
+// serialised shape (and the gob/JSON wire formats) unchanged. Every
+// layer gets the flat backing from newLayer: Train builds it, and the
+// decoders call Repack.
 type layer struct {
 	W      [][]float64 `json:"w"`
 	B      []float64   `json:"b"`
@@ -443,29 +442,14 @@ func (n *Network) newActivations() [][]float64 {
 	return acts
 }
 
-// sigmoid is the hidden units' activation. Layers apply it with
-// lanes.Sigmoids, which is bit-identical.
-func sigmoid(x float64) float64 { return lanes.Sigmoid(x) }
-
 // applyLayer runs one layer over in/out: bias preload, fused
 // matrix-vector accumulation in ascending-k order, then the activation.
-// Identical arithmetic to the original per-unit scalar loop (sigmoid is
-// applied per element after the sums, which computes the same values).
-// Layers without flat kernel storage (hand-assembled or gob-decoded
-// networks) take the scalar path.
+// Identical arithmetic to the original per-unit scalar loop (the sigmoid
+// is applied per element after the sums, which computes the same
+// values).
 func applyLayer(ly *layer, in, out []float64) {
 	copy(out, ly.B)
-	if ly.wm != nil {
-		_ = ly.wm.MulVecAddInto(out, in)
-	} else {
-		for j := range ly.W {
-			s := out[j]
-			for k, v := range in {
-				s += ly.W[j][k] * v
-			}
-			out[j] = s
-		}
-	}
+	_ = ly.wm.MulVecAddInto(out, in)
 	if !ly.Linear {
 		lanes.Sigmoids(out)
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/lanes"
 )
 
 // batchTrainingSet builds a small deterministic regression set.
@@ -106,7 +108,7 @@ func referenceTrain(inputs, targets [][]float64, cfg Config) *Network {
 						s += ly.W[j][k] * v
 					}
 					if !ly.Linear {
-						s = sigmoid(s)
+						s = lanes.Sigmoid(s)
 					}
 					acts[l+1][j] = s
 				}

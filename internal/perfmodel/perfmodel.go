@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/lanes"
 	"repro/internal/machine"
 	"repro/internal/mica"
 )
@@ -115,7 +116,7 @@ func CPI(c machine.Config, w mica.Workload) (Breakdown, error) {
 		farFrac = math.Min(maxFarFrac, w.BytesPerInstr/(lineBytes*memRefs))
 	}
 	missAt := func(sizeKB float64) float64 {
-		return farFrac / (1 + math.Pow(sizeKB/w.WorkingSetKB, wsCurveExponent))
+		return farFrac / (1 + lanes.Pow(sizeKB/w.WorkingSetKB, wsCurveExponent))
 	}
 	fL1 := missAt(c.L1KB)
 	fL2 := missAt(c.L2KB)

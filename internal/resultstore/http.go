@@ -144,9 +144,6 @@ func NewHTTPHandler(dir string) (*HTTPHandler, error) {
 	return &HTTPHandler{dir: dir}, nil
 }
 
-// Dir returns the served directory.
-func (h *HTTPHandler) Dir() string { return h.dir }
-
 // Stats returns a counter snapshot.
 func (h *HTTPHandler) Stats() HandlerStats {
 	return HandlerStats{

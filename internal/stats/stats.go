@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/lanes"
 )
 
 // ErrEmpty is returned for operations that need at least one observation.
@@ -90,12 +92,6 @@ func ArgMax(xs []float64) (int, error) {
 	return best, nil
 }
 
-// Median returns the median of xs (average of the two central order
-// statistics for even-length samples).
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics.
 func Quantile(xs []float64, q float64) (float64, error) {
@@ -130,7 +126,7 @@ func GeoMean(xs []float64) (float64, error) {
 		}
 		s += math.Log(x)
 	}
-	return math.Exp(s / float64(len(xs))), nil
+	return lanes.Exp(s / float64(len(xs))), nil
 }
 
 // Pearson returns the Pearson product-moment correlation coefficient of the

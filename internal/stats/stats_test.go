@@ -53,14 +53,14 @@ func TestMinMaxArg(t *testing.T) {
 
 func TestMedianQuantile(t *testing.T) {
 	odd := []float64{5, 1, 3}
-	m, err := Median(odd)
+	m, err := Quantile(odd, 0.5)
 	if err != nil || m != 3 {
-		t.Fatalf("Median(odd) = %v, %v", m, err)
+		t.Fatalf("Quantile(odd, 0.5) = %v, %v", m, err)
 	}
 	even := []float64{4, 1, 3, 2}
-	m, err = Median(even)
+	m, err = Quantile(even, 0.5)
 	if err != nil || m != 2.5 {
-		t.Fatalf("Median(even) = %v, %v", m, err)
+		t.Fatalf("Quantile(even, 0.5) = %v, %v", m, err)
 	}
 	q, err := Quantile([]float64{0, 10}, 0.25)
 	if err != nil || q != 2.5 {

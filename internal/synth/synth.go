@@ -10,10 +10,10 @@ package synth
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dataset"
+	"repro/internal/lanes"
 	"repro/internal/machine"
 	"repro/internal/mica"
 	"repro/internal/perfmodel"
@@ -163,7 +163,7 @@ func generate(roster []machine.Config, table *mica.Table, opts Options) (*Data, 
 			}
 			score := mRate / refRate
 			if opts.ScoreNoise > 0 {
-				score *= math.Exp(rng.NormFloat64() * opts.ScoreNoise)
+				score *= lanes.Exp(rng.NormFloat64() * opts.ScoreNoise)
 			}
 			mat.Set(b, m, score)
 		}

@@ -5,13 +5,17 @@
 #   1. serve      /healthz answers; /v1/rank is byte-identical to
 #                 `dtrank rank -json`; the same query again is served from
 #                 the registry (exactly 1 fit). Must run first: later
-#                 phases fit more models.
+#                 phases fit more models. `dtrank rank -json` for all five
+#                 methods over three families is byte-identical with and
+#                 without GODEBUG=cpu.fma=off.
 #   2. report     a cold GET /v1/reports/<late-plan spec> computes its
 #                 units into the store; `dtrank run -spec` over the same
 #                 store is byte-identical and recomputes nothing.
 #   3. worksteal  the daemon coordinates `-spec all`; worker A writes the
-#                 store directory directly while worker B writes through
-#                 the daemon's /v1/store/ (two processes, one store). A is
+#                 store directory directly while worker B, under
+#                 GODEBUG=cpu.fma=off, writes through the daemon's
+#                 /v1/store/ (two processes, one store, one plan
+#                 fingerprint whether math.Exp may fuse or not). A is
 #                 SIGKILLed in its second lease; B drains the plan. The coordinator
 #                 reports every unit done and >= 1 recovered, and a merge
 #                 render over HTTP is byte-identical to a single-process
@@ -134,6 +138,23 @@ fits=$(metric dtrank_registry_fits_total)
 [ "$fits" = 1 ] || fail "serve: expected exactly 1 fit, got '$fits'"
 log "serve: /v1/rank byte-identical to the CLI, warm query served from the registry (1 fit)"
 
+# GODEBUG=cpu.fma=off takes math.Exp off its FMA path on amd64; every
+# result goes through lanes.Exp, so no body may change.
+n=0
+for method in "NN^T" "MLP^T" "SPL^T" "GA-kNN" "kNN^M"; do
+    for family in "Intel Xeon" "AMD Phenom" "Intel Core 2"; do
+        args=(rank -seed "$SEED" -family "$family" -app "$APP" -method "$method" -json)
+        "$dir/dtrank" "${args[@]}" >"$dir/fma.json"
+        GODEBUG=cpu.fma=off "$dir/dtrank" "${args[@]}" >"$dir/nofma.json"
+        if ! cmp -s "$dir/fma.json" "$dir/nofma.json"; then
+            diff "$dir/fma.json" "$dir/nofma.json" >&2 || true
+            fail "serve: $method on $family differs under GODEBUG=cpu.fma=off"
+        fi
+        n=$(( n + 1 ))
+    done
+done
+log "serve: $n rank -json bodies byte-identical with and without GODEBUG=cpu.fma=off"
+
 # --- 2. report: cold render of a late-plan spec ----------------------------
 curl -fsS -D "$dir/headers1.txt" "$base/v1/reports/$FIRST_SPEC" >"$dir/served1.txt"
 computed=$(metric dtrank_report_units_computed_total)
@@ -150,12 +171,12 @@ log "report: cold $FIRST_SPEC computed $computed units; CLI parity with 0 recomp
 # --- 3. worksteal ------------------------------------------------------------
 total=$(curl -fsS "$base/v1/work/status" | json_int total)
 [ -n "$total" ] && [ "$total" -ge 2 ] || fail "worksteal: implausible unit count '$total'"
-log "worksteal: coordinator queues $total units; starting workers A (directory) and B (HTTP)"
+log "worksteal: coordinator queues $total units; starting workers A (directory) and B (HTTP, cpu.fma=off)"
 "$dir/dtrank" run -spec all "${FLAGS[@]}" -worker "$base" -worker-name worker-a -cache "$store" \
     >"$dir/worker-a.out" 2>"$dir/worker-a.err" &
 wa=$!
 wpids+=("$wa")
-"$dir/dtrank" run -spec all "${FLAGS[@]}" -worker "$base" -worker-name worker-b \
+GODEBUG=cpu.fma=off "$dir/dtrank" run -spec all "${FLAGS[@]}" -worker "$base" -worker-name worker-b \
     >"$dir/worker-b.out" 2>"$dir/worker-b.err" &
 wb=$!
 wpids+=("$wb")
