@@ -303,7 +303,7 @@ func experimentFlags(fs *flag.FlagSet) func() experiments.Config {
 		}
 		if *workers > 0 {
 			// Bound both the experiment fan-out and the process-wide budget
-			// that the inner layers (GA fitness, matrix kernels) draw from.
+			// that GA fitness evaluation draws from outside a run's pool.
 			cfg.Workers = *workers
 			repro.SetWorkers(*workers)
 		}

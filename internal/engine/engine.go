@@ -1,7 +1,7 @@
 // Package engine provides the bounded worker pool and deterministic
 // per-unit seed derivation shared by every parallel code path of the
 // reproduction: experiment fan-out (cross-validation folds, random draws,
-// sweep points), GA fitness evaluation and the large-matrix kernels.
+// sweep points) and GA fitness evaluation.
 //
 // The design goal is that parallel output is byte-identical to serial
 // output: units of work are addressed by index, results land in

@@ -67,9 +67,7 @@ type Config struct {
 	Store resultstore.Store
 	// pool is the run's worker pool, created lazily by eng(). Predictor
 	// factories hand it to the GA's inner fan-out so one token budget
-	// bounds the fold and fitness layers. (The la matrix kernels draw
-	// from the process-wide default pool instead, but never cross their
-	// parallel threshold at this repo's matrix sizes.)
+	// bounds the fold and fitness layers.
 	pool *engine.Pool
 	// ds memoizes the synthesised dataset and its fingerprint, so one
 	// RunSpecs/RunAll invocation generates the dataset exactly once and

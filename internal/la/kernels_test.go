@@ -39,63 +39,13 @@ func requireBitwise(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// shapes covers tiny, odd, and above-tile sizes (mulBlock = 64) so the
-// blocked and banded kernel paths all execute.
+// kernelShapes covers tiny, odd, and above-tile sizes (mulBlock = 64).
 var kernelShapes = []struct{ r, k, c int }{
 	{1, 1, 1},
 	{3, 5, 2},
 	{7, 4, 9},
 	{65, 70, 66}, // crosses the mulBlock tile edge
 	{130, 3, 1},
-}
-
-func TestMulTIntoMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, sh := range kernelShapes {
-		m := kernRandMatrix(rng, sh.r, sh.k)
-		b := kernRandMatrix(rng, sh.c, sh.k)
-		dst := kernRandMatrix(rng, sh.r, sh.c) // pre-filled garbage must be overwritten
-		if err := m.MulTInto(dst, b); err != nil {
-			t.Fatalf("MulTInto(%d×%d, %d×%d): %v", sh.r, sh.k, sh.c, sh.k, err)
-		}
-		// Reference: plain ascending-k dot products from zero.
-		want := NewMatrix(sh.r, sh.c)
-		for i := 0; i < sh.r; i++ {
-			for j := 0; j < sh.c; j++ {
-				s := 0.0
-				for k := 0; k < sh.k; k++ {
-					s += m.At(i, k) * b.At(j, k)
-				}
-				want.Set(i, j, s)
-			}
-		}
-		requireBitwise(t, "MulTInto", dst.data, want.data)
-	}
-}
-
-func TestMulTAddIntoMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, sh := range kernelShapes {
-		m := kernRandMatrix(rng, sh.r, sh.k)
-		b := kernRandMatrix(rng, sh.c, sh.k)
-		bias := kernRandMatrix(rng, sh.r, sh.c)
-		dst := bias.Clone()
-		if err := m.MulTAddInto(dst, b); err != nil {
-			t.Fatalf("MulTAddInto(%d×%d, %d×%d): %v", sh.r, sh.k, sh.c, sh.k, err)
-		}
-		// Reference: the scalar layer loop s = bias + Σ_k ascending.
-		want := NewMatrix(sh.r, sh.c)
-		for i := 0; i < sh.r; i++ {
-			for j := 0; j < sh.c; j++ {
-				s := bias.At(i, j)
-				for k := 0; k < sh.k; k++ {
-					s += m.At(i, k) * b.At(j, k)
-				}
-				want.Set(i, j, s)
-			}
-		}
-		requireBitwise(t, "MulTAddInto", dst.data, want.data)
-	}
 }
 
 func TestMulVecIntoMatchesMulVec(t *testing.T) {
@@ -112,52 +62,6 @@ func TestMulVecIntoMatchesMulVec(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitwise(t, "MulVecInto", got, want)
-	}
-}
-
-func TestMulVecAddIntoMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, sh := range kernelShapes {
-		m := kernRandMatrix(rng, sh.r, sh.k)
-		v := kernRandVec(rng, sh.k)
-		bias := kernRandVec(rng, sh.r)
-		got := append([]float64(nil), bias...)
-		if err := m.MulVecAddInto(got, v); err != nil {
-			t.Fatal(err)
-		}
-		// Reference: the scalar layer loop s = bias + Σ_k ascending.
-		want := make([]float64, sh.r)
-		for i := 0; i < sh.r; i++ {
-			s := bias[i]
-			for k := 0; k < sh.k; k++ {
-				s += m.At(i, k) * v[k]
-			}
-			want[i] = s
-		}
-		requireBitwise(t, "MulVecAddInto", got, want)
-	}
-}
-
-func TestMulVecTIntoMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, sh := range kernelShapes {
-		m := kernRandMatrix(rng, sh.r, sh.k)
-		v := kernRandVec(rng, sh.r)
-		got := kernRandVec(rng, sh.k)
-		if err := m.MulVecTInto(got, v); err != nil {
-			t.Fatal(err)
-		}
-		// Reference: the back-propagation loop dst[j] = Σ_i ascending
-		// m[i][j]·v[i].
-		want := make([]float64, sh.k)
-		for j := 0; j < sh.k; j++ {
-			s := 0.0
-			for i := 0; i < sh.r; i++ {
-				s += m.At(i, j) * v[i]
-			}
-			want[j] = s
-		}
-		requireBitwise(t, "MulVecTInto", got, want)
 	}
 }
 
@@ -214,8 +118,8 @@ func TestReuseMatrix(t *testing.T) {
 	if small != m {
 		t.Fatal("ReuseMatrix should reuse capacity when shrinking")
 	}
-	if small.Rows() != 2 || small.Cols() != 2 || small.Stride() != 2 {
-		t.Fatalf("reshaped to %d×%d stride %d", small.Rows(), small.Cols(), small.Stride())
+	if small.Rows() != 2 || small.Cols() != 2 || small.stride != 2 {
+		t.Fatalf("reshaped to %d×%d stride %d", small.Rows(), small.Cols(), small.stride)
 	}
 	// Growing past capacity allocates.
 	grown := ReuseMatrix(small, 5, 6)
@@ -227,23 +131,5 @@ func TestReuseMatrix(t *testing.T) {
 	view := parent.SubMatrixView(1, 1, 3, 3)
 	if ReuseMatrix(view, 3, 3) == view {
 		t.Fatal("ReuseMatrix must not reuse a view")
-	}
-}
-
-func TestNewMatrixFromFlat(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	m, err := NewMatrixFromFlat(2, 3, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 2) != 6 {
-		t.Fatalf("At(1,2) = %v", m.At(1, 2))
-	}
-	m.Set(0, 1, 9)
-	if data[1] != 9 {
-		t.Fatal("NewMatrixFromFlat must alias the backing slice")
-	}
-	if _, err := NewMatrixFromFlat(2, 2, data); err == nil {
-		t.Fatal("want shape error for mismatched backing length")
 	}
 }

@@ -30,47 +30,6 @@ func TestNewMatrixNegativePanics(t *testing.T) {
 	NewMatrix(-1, 2)
 }
 
-func TestNewMatrixFromRows(t *testing.T) {
-	m, err := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(2, 1) != 6 || m.At(0, 0) != 1 {
-		t.Fatalf("unexpected contents: %v", m)
-	}
-	if _, err := NewMatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("expected shape error for ragged rows")
-	}
-}
-
-func TestNewMatrixFromRowsEmpty(t *testing.T) {
-	m, err := NewMatrixFromRows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 0 || m.Cols() != 0 {
-		t.Fatalf("got %d×%d, want 0×0", m.Rows(), m.Cols())
-	}
-}
-
-func TestSetGetRowCol(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.SetRow(0, []float64{1, 2, 3})
-	m.SetCol(2, []float64{9, 8})
-	if got := m.Row(0); got[0] != 1 || got[1] != 2 || got[2] != 9 {
-		t.Fatalf("Row(0) = %v", got)
-	}
-	if got := m.Col(2); got[0] != 9 || got[1] != 8 {
-		t.Fatalf("Col(2) = %v", got)
-	}
-	// Row returns a copy, mutating it must not affect the matrix.
-	r := m.Row(0)
-	r[0] = 100
-	if m.At(0, 0) != 1 {
-		t.Fatal("Row() must return a copy")
-	}
-}
-
 func TestAtOutOfRangePanics(t *testing.T) {
 	m := NewMatrix(2, 2)
 	defer func() {
@@ -82,22 +41,22 @@ func TestAtOutOfRangePanics(t *testing.T) {
 }
 
 func TestTransposeKnown(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	want, _ := NewMatrixFromRows([][]float64{{1, 4}, {2, 5}, {3, 6}})
-	if !m.T().Equal(want, 0) {
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	want := fromRows([][]float64{{1, 4}, {2, 5}, {3, 6}})
+	if !equalWithin(m.T(), want, 0) {
 		t.Fatalf("transpose = %v, want %v", m.T(), want)
 	}
 }
 
 func TestMulKnown(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	got, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := NewMatrixFromRows([][]float64{{19, 22}, {43, 50}})
-	if !got.Equal(want, 1e-12) {
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
+	if !equalWithin(got, want, 1e-12) {
 		t.Fatalf("Mul = %v, want %v", got, want)
 	}
 }
@@ -113,17 +72,17 @@ func TestMulShapeError(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMatrix(rng, 5, 5)
-	got, err := a.Mul(Identity(5))
+	got, err := a.Mul(identity(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(a, 1e-12) {
+	if !equalWithin(got, a, 1e-12) {
 		t.Fatal("A·I != A")
 	}
 }
 
 func TestMulVec(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got, err := a.MulVec([]float64{1, 0, -1})
 	if err != nil {
 		t.Fatal(err)
@@ -136,33 +95,8 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{10, 20}, {30, 40}})
-	sum, err := a.AddM(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(1, 1) != 44 {
-		t.Fatalf("AddM wrong: %v", sum)
-	}
-	diff, err := b.SubM(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.At(0, 0) != 9 {
-		t.Fatalf("SubM wrong: %v", diff)
-	}
-	if _, err := a.AddM(NewMatrix(1, 2)); err == nil {
-		t.Fatal("expected shape error on AddM")
-	}
-	if _, err := a.SubM(NewMatrix(1, 2)); err == nil {
-		t.Fatal("expected shape error on SubM")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	c := a.Clone()
 	c.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
@@ -170,18 +104,8 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestNorms(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{3, -4}, {0, 0}})
-	if got := a.MaxAbs(); got != 4 {
-		t.Fatalf("MaxAbs = %v, want 4", got)
-	}
-	if got := NewMatrix(0, 0).MaxAbs(); got != 0 {
-		t.Fatalf("MaxAbs of empty = %v, want 0", got)
-	}
-}
-
 func TestSolveKnown(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{2, 1}, {1, 3}})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := Solve(a, []float64{3, 5})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +117,7 @@ func TestSolveKnown(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); err == nil {
 		t.Fatal("expected singular error")
 	}
@@ -203,14 +127,14 @@ func TestSolveShapeErrors(t *testing.T) {
 	if _, err := Solve(NewMatrix(2, 3), []float64{1, 2}); err == nil {
 		t.Fatal("expected shape error for non-square matrix")
 	}
-	if _, err := Solve(Identity(2), []float64{1}); err == nil {
+	if _, err := Solve(identity(2), []float64{1}); err == nil {
 		t.Fatal("expected shape error for rhs length")
 	}
 }
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Leading zero pivot forces a row swap.
-	a, _ := NewMatrixFromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := Solve(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +190,7 @@ func TestQRShapeError(t *testing.T) {
 	if _, err := NewQR(NewMatrix(2, 3)); err == nil {
 		t.Fatal("expected shape error for wide matrix")
 	}
-	qr, err := NewQR(Identity(3))
+	qr, err := NewQR(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,25 +200,10 @@ func TestQRShapeError(t *testing.T) {
 }
 
 func TestQRRankDeficient(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
+	a := fromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
 	if _, err := LeastSquares(a, []float64{1, 2, 3}); err == nil {
 		t.Fatal("expected singular error for rank-deficient matrix")
 	}
-}
-
-func TestDotNormAxpy(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-}
-
-func TestDotMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
 }
 
 // Property: transpose is an involution.
@@ -302,7 +211,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	f := func(rows, cols uint8) bool {
 		m := randMatrix(rng, int(rows%12)+1, int(cols%12)+1)
-		return m.T().T().Equal(m, 0)
+		return equalWithin(m.T().T(), m, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -324,7 +233,7 @@ func TestMulTransposeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return ab.T().Equal(btat, 1e-9)
+		return equalWithin(ab.T(), btat, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -387,11 +296,65 @@ func TestQRResidualOrthogonalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Sqrt(Dot(atr, atr)) < 1e-7*(1+math.Sqrt(Dot(b, b)))
+		return norm(atr) < 1e-7*(1+norm(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.RowView(i), r)
+	}
+	return m
+}
+
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// equalWithin reports whether a and b have the same shape and every
+// element within tol.
+func equalWithin(a, b *Matrix, tol float64) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// maxAbs returns the largest absolute element of m, 0 when m is empty.
+func maxAbs(m *Matrix) float64 {
+	max := 0.0
+	for i := 0; i < m.Rows(); i++ {
+		for j := 0; j < m.Cols(); j++ {
+			max = math.Max(max, math.Abs(m.At(i, j)))
+		}
+	}
+	return max
+}
+
+// norm returns the Euclidean norm of v.
+func norm(v []float64) float64 {
+	s := 0.0
+	for _, x := range v {
+		s += x * x
+	}
+	return math.Sqrt(s)
 }
 
 func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {

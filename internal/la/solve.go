@@ -179,17 +179,3 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return qr.Solve(b)
 }
-
-// Vector helpers ------------------------------------------------------------
-
-// Dot returns the dot product of a and b. It panics on length mismatch.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("la: Dot of vectors with lengths %d and %d", len(a), len(b)))
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}

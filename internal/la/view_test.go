@@ -22,18 +22,13 @@ func TestRowViewAliases(t *testing.T) {
 	if m.At(1, 2) != -1 {
 		t.Fatal("RowView must alias the matrix")
 	}
-	cp := m.Row(1)
-	cp[0] = 99
-	if m.At(1, 0) == 99 {
-		t.Fatal("Row must copy")
-	}
 }
 
 func TestSubMatrixView(t *testing.T) {
 	m := counted(4, 5)
 	v := m.SubMatrixView(1, 2, 2, 3)
-	if v.Rows() != 2 || v.Cols() != 3 || !v.IsView() || v.Stride() != 5 {
-		t.Fatalf("view %dx%d stride %d", v.Rows(), v.Cols(), v.Stride())
+	if v.Rows() != 2 || v.Cols() != 3 || v.stride != 5 {
+		t.Fatalf("view %dx%d stride %d", v.Rows(), v.Cols(), v.stride)
 	}
 	if v.At(0, 0) != 12 || v.At(1, 2) != 24 {
 		t.Fatalf("view contents wrong: %v", v)
@@ -44,14 +39,14 @@ func TestSubMatrixView(t *testing.T) {
 		t.Fatal("SubMatrixView must alias parent")
 	}
 	// Operations on a strided view behave like on a compact matrix.
-	if v.MaxAbs() != 24 {
-		t.Fatalf("MaxAbs = %v", v.MaxAbs())
+	if maxAbs(v) != 24 {
+		t.Fatalf("maxAbs = %v", maxAbs(v))
 	}
 	cl := v.Clone()
-	if cl.IsView() {
+	if cl.stride != cl.Cols() {
 		t.Fatal("Clone must compact")
 	}
-	if !cl.Equal(v, 0) {
+	if !equalWithin(cl, v, 0) {
 		t.Fatalf("Clone differs: %v vs %v", cl, v)
 	}
 	tr := v.T()
@@ -90,22 +85,8 @@ func TestViewMulMatchesCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want, 0) {
+	if !equalWithin(got, want, 0) {
 		t.Fatalf("view Mul differs: %v vs %v", got, want)
-	}
-	sum, err := a.AddM(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(2, 3) != 2*a.At(2, 3) {
-		t.Fatal("AddM on view wrong")
-	}
-	diff, err := a.SubM(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.MaxAbs() != 0 {
-		t.Fatal("SubM on view wrong")
 	}
 }
 

@@ -35,8 +35,8 @@ type Options struct {
 	// Fast trades accuracy for speed (small GA budget, short MLP
 	// training) — the experiments pipeline's smoke-run setting.
 	Fast bool
-	// Pool bounds inner training fan-outs (GA fitness evaluation); nil
-	// means the process-wide default pool.
+	// Pool bounds GA-kNN's inner fan-out (GA fitness evaluation); nil
+	// means the process-wide default pool. No other method fans out.
 	Pool *engine.Pool
 }
 
@@ -116,9 +116,6 @@ var registry = []Descriptor{
 			if o.Fast {
 				p.Config.Epochs = 60
 			}
-			// Share the caller's token budget with ensemble training
-			// (nil means the process-wide default).
-			p.Pool = o.Pool
 			return p
 		},
 	},

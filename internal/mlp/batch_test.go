@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// trainedEnsemble fits a small deterministic ensemble plus a query set.
-func trainedEnsemble(t *testing.T, members int) (*Ensemble, [][]float64) {
+// trainedNetwork fits a small deterministic network plus a query set.
+func trainedNetwork(t *testing.T) (*Network, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(9))
 	inputs := make([][]float64, 24)
@@ -18,7 +18,7 @@ func trainedEnsemble(t *testing.T, members int) (*Ensemble, [][]float64) {
 	}
 	cfg := DefaultConfig(5)
 	cfg.Epochs = 30
-	e, err := TrainEnsemble(inputs, targets, cfg, members, nil)
+	net, err := Train(inputs, targets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,26 +26,30 @@ func trainedEnsemble(t *testing.T, members int) (*Ensemble, [][]float64) {
 	for i := range queries {
 		queries[i] = []float64{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
 	}
-	return e, queries
+	return net, queries
 }
 
 // TestPredict1BatchMatchesPredict1 asserts the batch path is bitwise
-// identical to per-query prediction, for single and multi-member
-// ensembles.
+// identical to per-query prediction, including on a network restored by
+// Repack, whose flat storage is rebuilt from the weight rows.
 func TestPredict1BatchMatchesPredict1(t *testing.T) {
-	for _, members := range []int{1, 3} {
-		e, queries := trainedEnsemble(t, members)
+	net, queries := trainedNetwork(t)
+	restored := &Network{Layers: append([]layer(nil), net.Layers...), In: net.In, Out: net.Out, NIn: net.NIn, NOut: net.NOut}
+	if err := restored.Repack(); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*Network{"trained": net, "repacked": restored} {
 		batch := make([]float64, len(queries))
-		if err := e.Predict1Batch(queries, batch); err != nil {
+		if err := n.Predict1Batch(queries, batch); err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range queries {
-			want, err := e.Predict1(q)
+			want, err := net.Predict1(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch[i] != want {
-				t.Fatalf("members=%d query %d: batch %v, single %v", members, i, batch[i], want)
+				t.Fatalf("%s query %d: batch %v, single %v", name, i, batch[i], want)
 			}
 		}
 	}
@@ -53,18 +57,18 @@ func TestPredict1BatchMatchesPredict1(t *testing.T) {
 
 // TestPredict1BatchAllocFree asserts the batch path draws its forward
 // buffers from the scratch pool: after one warming call, a batch
-// allocates nothing — the property the serving micro-batcher relies on.
+// allocates nothing — the property the serving path relies on.
 func TestPredict1BatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	e, queries := trainedEnsemble(t, 3)
+	net, queries := trainedNetwork(t)
 	dst := make([]float64, len(queries))
-	if err := e.Predict1Batch(queries, dst); err != nil {
+	if err := net.Predict1Batch(queries, dst); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if err := e.Predict1Batch(queries, dst); err != nil {
+		if err := net.Predict1Batch(queries, dst); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -74,16 +78,21 @@ func TestPredict1BatchAllocFree(t *testing.T) {
 }
 
 func TestPredict1BatchErrors(t *testing.T) {
-	e, queries := trainedEnsemble(t, 1)
-	if err := e.Predict1Batch(queries, make([]float64, 1)); err == nil {
+	net, queries := trainedNetwork(t)
+	if err := net.Predict1Batch(queries, make([]float64, 1)); err == nil {
 		t.Fatal("want arity error for short dst")
 	}
 	bad := [][]float64{{1, 2}} // wrong input arity
-	if err := e.Predict1Batch(bad, make([]float64, 1)); err == nil {
+	if err := net.Predict1Batch(bad, make([]float64, 1)); err == nil {
 		t.Fatal("want input-arity error")
 	}
-	empty := &Ensemble{}
-	if err := empty.Predict1Batch(queries, make([]float64, len(queries))); err == nil {
-		t.Fatal("want empty-ensemble error")
+	cfg := DefaultConfig(1)
+	cfg.Epochs = 1
+	two, err := Train([][]float64{{0}, {1}}, [][]float64{{0, 1}, {1, 0}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := two.Predict1Batch([][]float64{{0.5}}, make([]float64, 1)); err == nil {
+		t.Fatal("want error for a two-output network")
 	}
 }

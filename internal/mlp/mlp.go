@@ -9,14 +9,12 @@
 package mlp
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/engine"
-	"repro/internal/la"
 	"repro/internal/lanes"
 )
 
@@ -87,26 +85,24 @@ func (c Config) validate() error {
 // W[j] are the input weights of unit j; B[j] its bias.
 //
 // Weights live in one flat row-major backing array (wf) that the W rows
-// alias, with wm wrapping it as a la.Matrix: the training and batch
-// prediction kernels stream the flat storage while W keeps the
-// serialised shape (and the gob/JSON wire formats) unchanged. Every
-// layer gets the flat backing from newLayer: Train builds it, and the
-// decoders call Repack.
+// alias: the training and prediction loops stream the flat storage while
+// W keeps the serialised shape (and the gob wire format) unchanged.
+// Every layer gets the flat backing from newLayer: Train builds it, and
+// the model decoder calls Repack.
 type layer struct {
-	W      [][]float64 `json:"w"`
-	B      []float64   `json:"b"`
-	Linear bool        `json:"linear"` // linear activation (output layer) vs sigmoid
+	W      [][]float64
+	B      []float64
+	Linear bool // linear activation (output layer) vs sigmoid
 	// momentum state (not serialised): the bias steps and, flat like
 	// wf, the weight steps
 	dB  []float64
 	dwf []float64
 	// flat kernel storage (rebuilt by Repack, never serialised)
-	wf []float64  // W backing, row-major, stride = inputs
-	wm *la.Matrix // wf viewed as units×inputs
+	wf []float64 // W backing, row-major, stride = inputs
 }
 
 // newLayer allocates a units×prev layer with flat-backed weight and
-// momentum storage and the kernel view over it.
+// momentum storage.
 func newLayer(units, prev int, linear bool) layer {
 	ly := layer{
 		W:      make([][]float64, units),
@@ -119,7 +115,6 @@ func newLayer(units, prev int, linear bool) layer {
 	for j := range ly.W {
 		ly.W[j] = ly.wf[j*prev : (j+1)*prev]
 	}
-	ly.wm, _ = la.NewMatrixFromFlat(units, prev, ly.wf)
 	return ly
 }
 
@@ -138,8 +133,8 @@ func (ly *layer) initWeights(rng *rand.Rand) {
 
 // scaler maps a raw feature range to [-1, 1] and back.
 type scaler struct {
-	Min []float64 `json:"min"`
-	Max []float64 `json:"max"`
+	Min []float64
+	Max []float64
 }
 
 func fitScaler(rows [][]float64) scaler {
@@ -196,11 +191,11 @@ func (s scaler) invertInto(y, dst []float64) {
 
 // Network is a trained multilayer perceptron.
 type Network struct {
-	Layers []layer `json:"layers"`
-	In     scaler  `json:"in"`
-	Out    scaler  `json:"out"`
-	NIn    int     `json:"nin"`
-	NOut   int     `json:"nout"`
+	Layers []layer
+	In     scaler
+	Out    scaler
+	NIn    int
+	NOut   int
 }
 
 // checkTrainingSet validates arity and returns the instance widths.
@@ -442,14 +437,20 @@ func (n *Network) newActivations() [][]float64 {
 	return acts
 }
 
-// applyLayer runs one layer over in/out: bias preload, fused
-// matrix-vector accumulation in ascending-k order, then the activation.
-// Identical arithmetic to the original per-unit scalar loop (the sigmoid
-// is applied per element after the sums, which computes the same
-// values).
+// applyLayer runs one layer over in/out: each unit's sum starts from its
+// bias and accumulates w_jk·in_k in ascending-k order, then the
+// activation. Identical arithmetic to the original per-unit scalar loop
+// (the sigmoid is applied per element after the sums, which computes the
+// same values).
 func applyLayer(ly *layer, in, out []float64) {
-	copy(out, ly.B)
-	_ = ly.wm.MulVecAddInto(out, in)
+	n := len(in)
+	for j, b := range ly.B {
+		s := b
+		for k, w := range ly.wf[j*n : (j+1)*n] {
+			s += w * in[k]
+		}
+		out[j] = s
+	}
 	if !ly.Linear {
 		lanes.Sigmoids(out)
 	}
@@ -479,11 +480,18 @@ func (n *Network) deltas(acts [][]float64, y []float64, dst [][]float64) {
 // backpropDeltas pushes the next layer's deltas (dNext) through this
 // layer's weights and modulates by the sigmoid derivative, writing the
 // activation-level deltas into dst. Σ_k w_kj·d_k accumulates k-ascending
-// (MulVecTInto), then multiplies by o·(1−o) — multiplication order
-// differs from the original `o·(1−o)·Σ` only by operand order of one
-// product, which IEEE-754 multiplication keeps bit-identical.
+// (unit k's whole weight row at a time), then multiplies by o·(1−o) —
+// multiplication order differs from the original `o·(1−o)·Σ` only by
+// operand order of one product, which IEEE-754 multiplication keeps
+// bit-identical.
 func (ly *layer) backpropDeltas(act, dNext, dst []float64) {
-	_ = ly.wm.MulVecTInto(dst, dNext)
+	n := len(dst)
+	clear(dst)
+	for k, d := range dNext {
+		for j, w := range ly.wf[k*n : (k+1)*n] {
+			dst[j] += d * w
+		}
+	}
 	for j, a := range act {
 		dst[j] *= a * (1 - a)
 	}
@@ -553,23 +561,22 @@ func (ly *layer) stepBias(j int, g, mu float64) float64 {
 	return ly.B[j]
 }
 
-// Forward is reusable forward-pass scratch for one network topology. A
-// Forward is valid for every network with the same layer sizes — in
-// particular for all members of one Ensemble. It is not safe for
-// concurrent use; per-worker code paths keep one Forward per worker.
+// Forward is reusable forward-pass scratch for one network topology: a
+// Forward is valid for every network with the same layer sizes. It is
+// not safe for concurrent use; Predict1Batch borrows one from a pool per
+// call.
 type Forward struct {
 	acts [][]float64
-	out  []float64
 }
 
 // NewForward allocates forward-pass scratch sized for n.
 func (n *Network) NewForward() *Forward {
-	return &Forward{acts: n.newActivations(), out: make([]float64, n.NOut)}
+	return &Forward{acts: n.newActivations()}
 }
 
 // compatible reports whether f's buffers fit n's topology.
 func (f *Forward) compatible(n *Network) bool {
-	if len(f.acts) != len(n.Layers)+1 || len(f.acts[0]) != n.NIn || len(f.out) != n.NOut {
+	if len(f.acts) != len(n.Layers)+1 || len(f.acts[0]) != n.NIn {
 		return false
 	}
 	for l, ly := range n.Layers {
@@ -579,6 +586,11 @@ func (f *Forward) compatible(n *Network) bool {
 	}
 	return true
 }
+
+// forwardScratch pools Forward buffers across Predict1Batch calls: at
+// steady state (one topology per model, pool warmed) a batch borrows
+// existing buffers instead of allocating fresh ones.
+var forwardScratch = engine.NewScratch(func() *Forward { return &Forward{} })
 
 // predictInto runs one forward pass through f's buffers, writing the
 // denormalised output into dst (length NOut). Identical arithmetic to
@@ -612,32 +624,41 @@ func (n *Network) Predict1(x []float64) (float64, error) {
 	return out[0], nil
 }
 
-// MarshalJSON serialises the trained network (momentum state excluded).
-func (n *Network) MarshalJSON() ([]byte, error) {
-	type alias Network
-	return json.Marshal((*alias)(n))
-}
-
-// UnmarshalJSON restores a network serialised with MarshalJSON,
-// repacking the weights into kernel storage and reallocating the
-// transient momentum buffers.
-func (n *Network) UnmarshalJSON(b []byte) error {
-	type alias Network
-	if err := json.Unmarshal(b, (*alias)(n)); err != nil {
-		return err
+// Predict1Batch is Predict1 over every input vector, writing the
+// predictions into dst (len(dst) == len(inputs)). The inputs run one
+// after another through one pooled Forward, so a warm batch allocates
+// nothing; each prediction is bit for bit Predict1's.
+func (n *Network) Predict1Batch(inputs [][]float64, dst []float64) error {
+	if len(dst) != len(inputs) {
+		return fmt.Errorf("mlp: Predict1Batch with %d inputs and %d output slots", len(inputs), len(dst))
 	}
-	return n.Repack()
+	if n.NOut != 1 {
+		return fmt.Errorf("mlp: Predict1 on network with %d outputs", n.NOut)
+	}
+	for _, x := range inputs {
+		if len(x) != n.NIn {
+			return fmt.Errorf("mlp: Predict with %d attributes, network has %d", len(x), n.NIn)
+		}
+	}
+	f := forwardScratch.Get()
+	defer forwardScratch.Put(f)
+	if !f.compatible(n) {
+		f.acts = n.newActivations()
+	}
+	for i, x := range inputs {
+		n.predictInto(f, x, dst[i:i+1])
+	}
+	return nil
 }
 
 // Repack rebuilds the flat kernel storage of every layer from the
 // serialised W rows — weight values are copied, not changed — and
-// reallocates the momentum buffers. Deserialisers (JSON here, the gob
-// model codec in internal/transpose) call it so restored networks take
-// the batched kernel paths; it must not be called concurrently with
-// prediction on the same network. It returns an error, leaving n
-// unchanged, when the serialised shape is inconsistent: layer widths
-// that do not chain from NIn inputs to NOut outputs, or scalers of the
-// wrong width.
+// reallocates the momentum buffers. The gob model codec in
+// internal/transpose calls it so restored networks predict from the flat
+// storage; it must not be called concurrently with prediction on the
+// same network. It returns an error, leaving n unchanged, when the
+// serialised shape is inconsistent: layer widths that do not chain from
+// NIn inputs to NOut outputs, or scalers of the wrong width.
 func (n *Network) Repack() error {
 	if err := n.checkShape(); err != nil {
 		return err
@@ -655,7 +676,7 @@ func (n *Network) Repack() error {
 		}
 		fresh.B = ly.B
 		ly.W, ly.dB = fresh.W, fresh.dB
-		ly.wf, ly.dwf, ly.wm = fresh.wf, fresh.dwf, fresh.wm
+		ly.wf, ly.dwf = fresh.wf, fresh.dwf
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package mlp
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -251,35 +250,6 @@ func TestConstantColumnHandled(t *testing.T) {
 	}
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("Predict = %v", got)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	xs := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-	ys := [][]float64{{0}, {1}, {1}, {2}}
-	cfg := DefaultConfig(11)
-	cfg.Epochs = 100
-	net, err := Train(xs, ys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Network
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range xs {
-		a, _ := net.Predict1(x)
-		b, err := back.Predict1(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("round-trip prediction differs: %v vs %v", a, b)
-		}
 	}
 }
 

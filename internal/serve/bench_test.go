@@ -208,7 +208,7 @@ func BenchmarkServeRank(b *testing.B) {
 		// MLP^T misses under concurrency: the response cache is disabled so
 		// every request reaches the registry, and the 8 clients use 8
 		// distinct top clamps — overlapping requests still share one
-		// ensemble walk, since the coalescing key ignores top.
+		// prediction, since the coalescing key ignores top.
 		srv, err := NewServer(data.Matrix, data.Characteristics, Options{Seed: 1, RankCache: -1})
 		if err != nil {
 			b.Fatal(err)

@@ -92,27 +92,6 @@ func ArgMax(xs []float64) (int, error) {
 	return best, nil
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // GeoMean returns the geometric mean of a sample of positive values.
 // SPEC aggregate ratios are geometric means, so dataset summaries use this.
 func GeoMean(xs []float64) (float64, error) {

@@ -51,37 +51,6 @@ func TestMinMaxArg(t *testing.T) {
 	}
 }
 
-func TestMedianQuantile(t *testing.T) {
-	odd := []float64{5, 1, 3}
-	m, err := Quantile(odd, 0.5)
-	if err != nil || m != 3 {
-		t.Fatalf("Quantile(odd, 0.5) = %v, %v", m, err)
-	}
-	even := []float64{4, 1, 3, 2}
-	m, err = Quantile(even, 0.5)
-	if err != nil || m != 2.5 {
-		t.Fatalf("Quantile(even, 0.5) = %v, %v", m, err)
-	}
-	q, err := Quantile([]float64{0, 10}, 0.25)
-	if err != nil || q != 2.5 {
-		t.Fatalf("Quantile = %v, %v", q, err)
-	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
-		t.Fatal("expected error for q out of range")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("expected ErrEmpty")
-	}
-	// Quantile must not mutate its input.
-	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	g, err := GeoMean([]float64{1, 4, 16})
 	if err != nil || !almost(g, 4, 1e-12) {

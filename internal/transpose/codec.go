@@ -267,12 +267,20 @@ func decodeSPLTModel(r io.Reader) (Model, error) {
 	return &SPLTModel{PredIdx: wire.PredIdx, Pair: wire.Pair, appOnPred: wire.AppOnPred}, nil
 }
 
-// mlptWire is MLPTModel's payload: the trained ensemble plus the target
+// mlptWire is MLPTModel's payload: the trained network plus the target
 // half of the fitted fold (densified through dataset.Matrix's
-// BinaryMarshaler, so the decoded model owns contiguous storage).
+// BinaryMarshaler, so the decoded model owns contiguous storage). The
+// network travels as the one entry of Net.Nets, the payload's shape since
+// models were saved, so stored MLP^T models keep loading.
 type mlptWire struct {
-	Net *mlp.Ensemble
+	Net *mlptNets
 	Tgt *dataset.Matrix
+}
+
+// mlptNets wraps the network list of an MLP^T payload, which always holds
+// exactly one network.
+type mlptNets struct {
+	Nets []*mlp.Network
 }
 
 // ModelKind implements BinaryModel.
@@ -280,7 +288,7 @@ func (m *MLPTModel) ModelKind() string { return "mlpt" }
 
 // EncodePayload implements BinaryModel.
 func (m *MLPTModel) EncodePayload(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(mlptWire{Net: m.Net, Tgt: m.tgt})
+	return gob.NewEncoder(w).Encode(mlptWire{Net: &mlptNets{Nets: []*mlp.Network{m.Net}}, Tgt: m.tgt})
 }
 
 func decodeMLPTModel(r io.Reader) (Model, error) {
@@ -288,21 +296,20 @@ func decodeMLPTModel(r io.Reader) (Model, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, err
 	}
-	if wire.Net == nil || len(wire.Net.Nets) == 0 {
-		return nil, fmt.Errorf("MLP^T payload without a trained network")
+	if wire.Net == nil || len(wire.Net.Nets) != 1 {
+		return nil, fmt.Errorf("MLP^T payload must hold exactly one trained network")
 	}
-	for i, n := range wire.Net.Nets {
-		if n == nil {
-			return nil, fmt.Errorf("MLP^T payload ensemble member %d is nil", i)
-		}
-		// Gob carries only the serialised weight rows; rebuild the flat
-		// kernel storage so decoded models predict on the GEMM path.
-		if err := n.Repack(); err != nil {
-			return nil, fmt.Errorf("MLP^T payload ensemble member %d: %w", i, err)
-		}
+	net := wire.Net.Nets[0]
+	if net == nil {
+		return nil, fmt.Errorf("MLP^T payload network is nil")
+	}
+	// Gob carries only the serialised weight rows; rebuild the flat
+	// storage the forward pass reads.
+	if err := net.Repack(); err != nil {
+		return nil, fmt.Errorf("MLP^T payload network: %w", err)
 	}
 	if wire.Tgt == nil {
 		return nil, fmt.Errorf("MLP^T payload without target machines")
 	}
-	return &MLPTModel{Net: wire.Net, tgt: wire.Tgt}, nil
+	return &MLPTModel{Net: net, tgt: wire.Tgt}, nil
 }

@@ -3,9 +3,13 @@ package transpose
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,7 +33,6 @@ func codecFitters(t *testing.T) []Fitter {
 	t.Helper()
 	mlpt := NewMLPT(5)
 	mlpt.Config.Epochs = 40
-	mlpt.Ensemble = 2
 	return []Fitter{NNT{}, NewSPLT(), mlpt, NewKNNM()}
 }
 
@@ -253,17 +256,76 @@ type fakeModel struct{}
 func (fakeModel) NumTargets() int                { return 0 }
 func (fakeModel) PredictTargets([]float64) error { return nil }
 
-func TestMLPTRoundTripKeepsEnsembleOrder(t *testing.T) {
+// rawModel encodes a hand-built payload under a model kind.
+type rawModel struct {
+	kind    string
+	payload []byte
+}
+
+func (rawModel) NumTargets() int                   { return 0 }
+func (rawModel) PredictTargets([]float64) error    { return nil }
+func (m rawModel) ModelKind() string               { return m.kind }
+func (m rawModel) EncodePayload(w io.Writer) error { _, err := w.Write(m.payload); return err }
+
+// TestMLPTDecodeRequiresOneNetwork pins the MLP^T payload to exactly one
+// network: payloads with none or two are refused, and one network
+// decodes to a model that predicts bit for bit like the fitted one.
+func TestMLPTDecodeRequiresOneNetwork(t *testing.T) {
 	fold := codecFold(t)
-	mlpt := &MLPT{Config: mlp.DefaultConfig(9), Ensemble: 3}
+	mlpt := NewMLPT(9)
 	mlpt.Config.Epochs = 25
 	m, err := mlpt.Fit(fold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := roundTrip(t, m).(*MLPTModel)
-	if len(got.Net.Nets) != 3 {
-		t.Fatalf("ensemble decoded with %d members", len(got.Net.Nets))
+	fitted := m.(*MLPTModel)
+	for _, nets := range [][]*mlp.Network{nil, {fitted.Net}, {fitted.Net, fitted.Net}} {
+		var payload, blob bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(mlptWire{Net: &mlptNets{Nets: nets}, Tgt: fitted.tgt}); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeModel(&blob, rawModel{kind: "mlpt", payload: payload.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeModel(&blob)
+		if len(nets) != 1 {
+			if err == nil || !strings.Contains(err.Error(), "exactly one") {
+				t.Fatalf("%d networks: got %v, want a one-network error", len(nets), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSamePredictions(t, "MLP^T one network", m, got)
 	}
-	assertSamePredictions(t, "MLP^T ensemble", m, got)
+	// The fuzz seeds: a one-network model decodes, and a two-network
+	// ensemble payload of the earlier format decodes as gob but is refused.
+	for name, valid := range map[string]bool{"valid-mlpt": true, "mlpt-two-networks": false} {
+		_, err := DecodeModel(bytes.NewReader(readModelSeed(t, name)))
+		if valid && err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !valid && (err == nil || !strings.Contains(err.Error(), "exactly one")) {
+			t.Fatalf("%s: got %v, want a one-network error", name, err)
+		}
+	}
+}
+
+// readModelSeed returns the model bytes of one FuzzDecodeModel seed file.
+func readModelSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeModel", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s: not a one-value []byte corpus file", name)
+	}
+	blob, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(blob)
 }

@@ -247,12 +247,12 @@ func (s *SPLT) Fit(f Fold) (Model, error) {
 	return m, nil
 }
 
-// MLPTModel is the trained MLPᵀ artifact: the network (ensemble) mapping a
+// MLPTModel is the trained MLPᵀ artifact: the network mapping a
 // machine's benchmark scores to the application's score on that machine,
 // plus the target half of the fold it predicts.
 type MLPTModel struct {
-	// Net is the trained network ensemble.
-	Net *mlp.Ensemble
+	// Net is the trained network.
+	Net *mlp.Network
 
 	tgt *dataset.Matrix
 }
@@ -260,10 +260,10 @@ type MLPTModel struct {
 // NumTargets implements Model.
 func (m *MLPTModel) NumTargets() int { return m.tgt.NumMachines() }
 
-// PredictTargets implements Model: batch prediction over all target
-// machines in one ensemble walk through mlp's pooled forward buffers, so
-// a warm serving path predicts without allocating. Per-target arithmetic
-// and ordering match the per-query path bit for bit.
+// PredictTargets implements Model: every target machine runs through one
+// pooled forward pass in mlp, so a warm serving path predicts without
+// allocating. Each target's prediction is the network's Predict1 bit for
+// bit.
 func (m *MLPTModel) PredictTargets(dst []float64) error {
 	nt := m.tgt.NumMachines()
 	if len(dst) != nt {
@@ -293,11 +293,7 @@ func (m *MLPT) Fit(f Fold) (Model, error) {
 	defer foldScratchPool.Put(s)
 	inputs := s.candidates(f.Pred)
 	targets := s.oneWide(f.AppOnPred)
-	members := m.Ensemble
-	if members < 1 {
-		members = 1
-	}
-	net, err := mlp.TrainEnsemble(inputs, targets, m.Config, members, m.Pool)
+	net, err := mlp.Train(inputs, targets, m.Config)
 	if err != nil {
 		return nil, fmt.Errorf("transpose: MLP^T training: %w", err)
 	}

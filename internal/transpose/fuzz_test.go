@@ -43,9 +43,9 @@ func reseal(blob []byte) []byte {
 // PredictTargets on any model it accepts. A GA-kNN model it accepts
 // must predict finite scores. The seed corpus in
 // testdata/fuzz/FuzzDecodeModel holds one valid model of each kind, a
-// truncated model, a header claiming a 1 GiB payload, and GA-kNN models
+// truncated model, a header claiming a 1 GiB payload, GA-kNN models
 // with +Inf distances, distances whose square overflows and a NaN
-// target score.
+// target score, and an MLP^T payload holding two networks.
 func FuzzDecodeModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		for _, in := range [][]byte{blob, reseal(blob)} {

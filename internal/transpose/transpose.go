@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/mlp"
 	"repro/internal/stats"
 )
@@ -131,14 +130,6 @@ type MLPT struct {
 	// Config controls training; zero-valued fields fall back to the WEKA
 	// defaults.
 	Config mlp.Config
-	// Ensemble is the number of independently initialised networks whose
-	// predictions are averaged; members train concurrently on Pool. 0 or
-	// 1 means a single network — the paper's setting.
-	Ensemble int
-	// Pool bounds the ensemble training fan-out; nil means the
-	// process-wide default pool. Worker count never changes trained
-	// weights, only wall-clock time.
-	Pool *engine.Pool
 }
 
 // NewMLPT returns an MLPᵀ predictor with WEKA-default training driven by

@@ -296,10 +296,9 @@ func DefaultExperimentConfig(seed int64) ExperimentConfig {
 // RunAllExperiments reproduces every table and figure of the paper's
 // evaluation section and writes the rendered results to w. The experiment
 // fan-out (folds, draws, sweep points) and GA fitness evaluation are
-// bounded to cfg.Workers goroutines (0 = all cores); the matrix kernels
-// draw from the process-wide budget instead — use SetWorkers to bound
-// those too. The output is byte-identical for every worker count, and —
-// when cfg.Store is set — for cold versus warm result stores.
+// bounded to cfg.Workers goroutines (0 = all cores). The output is
+// byte-identical for every worker count, and — when cfg.Store is set —
+// for cold versus warm result stores.
 func RunAllExperiments(cfg ExperimentConfig, w io.Writer) error {
 	return experiments.RunAll(cfg, w)
 }
@@ -360,7 +359,7 @@ func DecodeModel(r io.Reader) (Model, error) { return transpose.DecodeModel(r) }
 
 // SetWorkers bounds the process-wide worker budget shared by every
 // parallel code path that is not driven by an ExperimentConfig: GA-kNN
-// fitness evaluation, MLP ensemble training and the large-matrix kernels.
+// fitness evaluation outside an experiment run, such as a served fit.
 // n <= 0 restores the default, runtime.GOMAXPROCS(0). Parallelism never
 // changes results, only wall-clock time.
 func SetWorkers(n int) { engine.SetDefaultWorkers(n) }

@@ -41,8 +41,7 @@ trap 'rm -f "$new"' EXIT
 echo "bench-gate: running fit-path and report-path benchmarks at GOMAXPROCS=$GOMAXPROCS"
 { go test -bench=. -benchmem -benchtime=1x -run='^$' \
     . ./internal/la ./internal/mlp ./internal/spline ./internal/ga \
-    ./internal/knn ./internal/cluster ./internal/perfmodel \
-    ./internal/experiments ; \
+    ./internal/cluster ./internal/perfmodel ./internal/experiments ; \
   go test -bench='^BenchmarkServeReports$' -benchmem -benchtime=1x -run='^$' \
     ./internal/serve ; } \
     | go run ./cmd/benchstatjson -o "$new"
