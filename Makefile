@@ -11,10 +11,12 @@ build:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # The second run takes math.Exp off its FMA path, where lanes.Exp and
-# lanes.Pow must equal math.Exp and math.Pow bit for bit.
+# lanes.Pow must equal math.Exp and math.Pow bit for bit, and where the
+# synthesis recipe golden must still hold: result-store keys name the
+# recipe, so every amd64 host must synthesise the same data from it.
 test:
 	$(GO) test -race -timeout 30m ./...
-	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/lanes
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/lanes ./internal/synth
 
 # Each fuzz target runs briefly on top of its committed seed corpus
 # (internal/*/testdata/fuzz); plain `go test` replays the corpora only.

@@ -61,7 +61,7 @@ func TestCachePrune(t *testing.T) {
 		t.Skip("pipeline run in -short mode")
 	}
 	dir := seedCache(t)
-	// A second snapshot (different seed ⇒ different dataset fingerprint).
+	// A second snapshot (different seed ⇒ different recipe fingerprint).
 	if err := runRun([]string{"-spec", "table3", "-cache", dir, "-fast", "-draws", "2", "-maxk", "3", "-seed", "2"}); err != nil {
 		t.Fatal(err)
 	}

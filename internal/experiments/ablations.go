@@ -56,11 +56,11 @@ type AblationHonestChars struct {
 }
 
 // ablationCharsUnits enumerates the characterisation ablation: two
-// variants, distorted first. Both units are keyed by the default
-// dataset's fingerprint: the honest variant is a pure function of the
-// same synthesis options.
+// variants, distorted first. Both units are keyed by the run's dataset
+// fingerprint: the honest variant is a pure function of the same
+// synthesis options.
 func (c *Config) ablationCharsUnits() ([]unitSpec[Summary], error) {
-	base, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
@@ -74,17 +74,19 @@ func (c *Config) ablationCharsUnits() ([]unitSpec[Summary], error) {
 	for i, label := range []string{"distorted", "honest"} {
 		i := i
 		units = append(units, unitSpec[Summary]{
-			key: c.unitKey(fp, SpecAblationChars, gaknn.Name, label),
+			key: c.unitKey(ds.fp, SpecAblationChars, gaknn.Name, label),
 			compute: func() (Summary, error) {
-				data := base
-				if i == 1 {
+				var data *synth.Data
+				var err error
+				if i == 0 {
+					data, err = ds.data()
+				} else {
 					honest := opts
 					honest.HonestCharacteristics = true
-					var err error
-					data, err = synth.Generate(honest)
-					if err != nil {
-						return Summary{}, err
-					}
+					data, err = generate(honest)
+				}
+				if err != nil {
+					return Summary{}, err
 				}
 				rs, err := transpose.FamilyCV(eng, data.Matrix, data.Characteristics, gaknn.New)
 				if err != nil {
@@ -131,7 +133,7 @@ type AblationMLPTDecay struct {
 // ablationDecayUnits enumerates the MLPᵀ training ablation: the decay
 // variant first, then the pure WEKA defaults.
 func (c *Config) ablationDecayUnits() ([]unitSpec[Summary], error) {
-	data, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
@@ -141,8 +143,12 @@ func (c *Config) ablationDecayUnits() ([]unitSpec[Summary], error) {
 	for i, label := range []string{"decay", "pure-weka"} {
 		decay := i == 0
 		units = append(units, unitSpec[Summary]{
-			key: c.unitKey(fp, SpecAblationDecay, method.MLPT, label),
+			key: c.unitKey(ds.fp, SpecAblationDecay, method.MLPT, label),
 			compute: func() (Summary, error) {
+				data, err := ds.data()
+				if err != nil {
+					return Summary{}, err
+				}
 				rs, err := transpose.FamilyCV(eng, data.Matrix, data.Characteristics, cfg.mlptVariant(decay))
 				if err != nil {
 					return Summary{}, err
@@ -190,7 +196,7 @@ var ablationPredictorNames = []string{method.NNT, method.SPLT, method.MLPT}
 // ablationPredictorsUnits enumerates the model-flexibility ablation: one
 // family-CV summary per transposition model.
 func (c *Config) ablationPredictorsUnits() ([]unitSpec[Summary], error) {
-	data, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
@@ -202,8 +208,12 @@ func (c *Config) ablationPredictorsUnits() ([]unitSpec[Summary], error) {
 			return nil, err
 		}
 		units = append(units, unitSpec[Summary]{
-			key: c.unitKey(fp, SpecAblationPredictors, m.Name, "family-cv"),
+			key: c.unitKey(ds.fp, SpecAblationPredictors, m.Name, "family-cv"),
 			compute: func() (Summary, error) {
+				data, err := ds.data()
+				if err != nil {
+					return Summary{}, err
+				}
 				rs, err := transpose.FamilyCV(eng, data.Matrix, data.Characteristics, m.New)
 				if err != nil {
 					return Summary{}, fmt.Errorf("experiments: predictor ablation %s: %w", m.Name, err)
@@ -267,11 +277,11 @@ func (c Config) selectionDraws() int {
 // unit, one k-means unit, then the random draws — a fixed stride of
 // 2+draws per k.
 func (c *Config) ablationSelectionUnits() ([]unitSpec[float64], error) {
-	data, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
-	tgt, pool, err := data.Matrix.YearSplit(TargetYear, func(y int) bool { return y == 2008 })
+	_, pool, err := ds.layout.YearSplit(TargetYear, keep2008)
 	if err != nil {
 		return nil, err
 	}
@@ -287,11 +297,15 @@ func (c *Config) ablationSelectionUnits() ([]unitSpec[float64], error) {
 	}
 	draws := c.selectionDraws()
 	fit := func(sel func(*dataset.Matrix) (*dataset.Matrix, error)) (float64, error) {
-		sub, err := sel(pool)
+		sp, err := ds.split2008()
 		if err != nil {
 			return 0, err
 		}
-		return transpose.GoodnessOfFit(eng, sub, tgt, data.Characteristics, mlpt.New)
+		sub, err := sel(sp.pool)
+		if err != nil {
+			return 0, err
+		}
+		return transpose.GoodnessOfFit(eng, sub, sp.tgt, sp.chars, mlpt.New)
 	}
 	kmeansSel := func(k int) func(*dataset.Matrix) (*dataset.Matrix, error) {
 		return func(d *dataset.Matrix) (*dataset.Matrix, error) {
@@ -314,7 +328,7 @@ func (c *Config) ablationSelectionUnits() ([]unitSpec[float64], error) {
 	var units []unitSpec[float64]
 	unit := func(split string, compute func() (float64, error)) {
 		units = append(units, unitSpec[float64]{
-			key:     c.unitKey(fp, SpecAblationSelection, mlpt.Name, split),
+			key:     c.unitKey(ds.fp, SpecAblationSelection, mlpt.Name, split),
 			compute: compute,
 		})
 	}

@@ -13,15 +13,12 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strings"
+	"sync"
 
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/method"
 	"repro/internal/resultstore"
@@ -37,13 +34,17 @@ type Config struct {
 	// synth.DefaultOptions(Seed).
 	Synth *synth.Options
 	// Data, when set, is used as the run's dataset instead of synthesising
-	// one — only Matrix and Characteristics are consumed. Unit keys embed
-	// the injected data's fingerprint, so a run over a dataset that equals
-	// the synthesised one (same matrix bytes, same characteristics)
-	// addresses the very same store units and renders byte-identical
-	// output; any other dataset addresses a disjoint key space. This is
-	// how dtrankd renders reports against its served snapshot while
-	// staying interchangeable with `dtrank run` over a shared store.
+	// one — only Matrix and Characteristics are consumed. A run without
+	// Data keys its units by the synthesis recipe (synth.Options
+	// Fingerprint) and synthesises only when a unit misses the store.
+	// Injected data equal to what the recipe synthesises (same matrix
+	// bytes, same characteristics; checked once per process and recipe)
+	// is keyed by the recipe too, so it addresses the very same store
+	// units and renders byte-identical output; any other dataset is keyed
+	// by its own fingerprint (synth.Data Fingerprint), a disjoint key
+	// space. This is how dtrankd renders reports against its served
+	// snapshot while staying interchangeable with `dtrank run` over a
+	// shared store.
 	Data *synth.Data
 	// RandomDraws is the number of random predictive-set draws averaged in
 	// Table 4 and Figure 8 (the paper averages 50 in Figure 8).
@@ -69,9 +70,10 @@ type Config struct {
 	// factories hand it to the GA's inner fan-out so one token budget
 	// bounds the fold and fitness layers.
 	pool *engine.Pool
-	// ds memoizes the synthesised dataset and its fingerprint, so one
-	// RunSpecs/RunAll invocation generates the dataset exactly once and
-	// every spec (and the planner) reads the same instance.
+	// ds is the run's dataset: its layout and key fingerprint, and the
+	// scores and characteristics materialised at most once per
+	// RunSpecs/PlanSpecs invocation, shared by every spec, the planner
+	// and every Config copy.
 	ds *runDataset
 	// fam memoizes the family cross-validation of one RunSpecs
 	// invocation: Table 2 and Figures 6-7 are three views of one
@@ -87,10 +89,89 @@ type familyMemo struct {
 	run *FamilyRun
 }
 
-// runDataset is the memoized dataset of one run.
+// runDataset is the dataset of one run. Enumerating and rendering units
+// reads only the layout and the fingerprint; the data itself is
+// materialised by the first compute closure that needs it.
 type runDataset struct {
-	data *synth.Data
-	fp   string
+	// layout is the run's benchmark order and machines (families,
+	// years). Its scores are zero unless the data was injected.
+	layout *dataset.Matrix
+	// fp is the Snapshot component of every unit key.
+	fp string
+	// data returns the scores and characteristics, synthesising them on
+	// the first call; concurrent compute closures share that one call.
+	data func() (*synth.Data, error)
+	// split2008 returns data's split into the 2009 targets and the 2008
+	// predictive pool (Figure 8 and the selection ablation), once.
+	split2008 func() (yearSplit, error)
+}
+
+// yearSplit is a target/predictive view pair of the run's data, with
+// the characteristics that go with it.
+type yearSplit struct {
+	tgt, pool *dataset.Matrix
+	chars     map[string][]float64
+}
+
+// generate synthesises a run's dataset; tests swap it to prove that a
+// warm run never synthesises.
+var generate = synth.Generate
+
+// recipeData memoises per recipe fingerprint the fingerprint of the data
+// the recipe synthesises (a func() (string, error) under sync.OnceValues).
+// It is a cache of a pure function, so it calls synth.Generate itself:
+// a test's substitute for generate cannot fill it.
+var recipeData sync.Map
+
+// synthesisedFingerprint returns the data fingerprint of what opts
+// synthesise, generating it once per process.
+func synthesisedFingerprint(opts synth.Options) (string, error) {
+	f, _ := recipeData.LoadOrStore(opts.Fingerprint(), sync.OnceValues(func() (string, error) {
+		data, err := synth.Generate(opts)
+		if err != nil {
+			return "", err
+		}
+		return data.Fingerprint(), nil
+	}))
+	return f.(func() (string, error))()
+}
+
+// newDataset builds the run's dataset without synthesising: the injected
+// data, or the recipe's layout with its data deferred to the first miss.
+func (c Config) newDataset() (*runDataset, error) {
+	opts := c.synthOptions()
+	ds := &runDataset{}
+	if c.Data != nil {
+		data := c.Data
+		ds.layout = data.Matrix
+		ds.fp = data.Fingerprint()
+		// Keying by the data fingerprint is always correct; the recipe
+		// key is the shared one, for data that equals the recipe's.
+		if fp, err := synthesisedFingerprint(opts); err == nil && fp == ds.fp {
+			ds.fp = opts.Fingerprint()
+		}
+		ds.data = func() (*synth.Data, error) { return data, nil }
+	} else {
+		if err := opts.Validate(); err != nil {
+			return nil, err
+		}
+		layout, err := synth.Layout()
+		if err != nil {
+			return nil, err
+		}
+		ds.layout = layout
+		ds.fp = opts.Fingerprint()
+		ds.data = sync.OnceValues(func() (*synth.Data, error) { return generate(opts) })
+	}
+	ds.split2008 = sync.OnceValues(func() (yearSplit, error) {
+		data, err := ds.data()
+		if err != nil {
+			return yearSplit{}, err
+		}
+		tgt, pool, err := data.Matrix.YearSplit(TargetYear, keep2008)
+		return yearSplit{tgt: tgt, pool: pool, chars: data.Characteristics}, err
+	})
+	return ds, nil
 }
 
 // DefaultConfig returns the configuration used for reported results.
@@ -144,23 +225,20 @@ func (c *Config) store() resultstore.Store {
 	return c.Store
 }
 
-// dataset returns the run's synthetic dataset and its fingerprint,
-// generating both on first use. Runners and the planner call it on the
-// same Config copy RunSpecs/PlanSpecs materialised, so a multi-spec run
-// synthesises the dataset once instead of once per spec.
-func (c *Config) dataset() (*synth.Data, string, error) {
+// dataset returns the run's dataset, building its layout and key
+// fingerprint on first use; the data is synthesised only when a unit
+// misses the store. Runners and the planner call it on the same Config
+// copy RunSpecs/PlanSpecs materialised, so a multi-spec run synthesises
+// at most once instead of once per spec.
+func (c *Config) dataset() (*runDataset, error) {
 	if c.ds == nil {
-		data := c.Data
-		if data == nil {
-			var err error
-			data, err = synth.Generate(c.synthOptions())
-			if err != nil {
-				return nil, "", err
-			}
+		ds, err := c.newDataset()
+		if err != nil {
+			return nil, err
 		}
-		c.ds = &runDataset{data: data, fp: datasetFingerprint(data)}
+		c.ds = ds
 	}
-	return c.ds.data, c.ds.fp, nil
+	return c.ds, nil
 }
 
 // familyRun returns the run's family cross-validation. With a memo (a
@@ -233,28 +311,6 @@ func (c Config) method(name string) (Method, error) {
 	opts := c.methodOptions()
 	seed := c.Seed
 	return Method{Name: d.Name, New: func() transpose.Predictor { return d.NewWith(seed, opts) }}, nil
-}
-
-// datasetFingerprint hashes everything the experiment units consume from
-// the dataset: the score matrix snapshot plus the (possibly distorted)
-// workload characteristics. It is the Snapshot component of every result
-// key, so any dataset change — new machines, new scores, a different
-// characterisation — invalidates every cached unit.
-func datasetFingerprint(data *synth.Data) string {
-	h := sha256.New()
-	io.WriteString(h, data.Matrix.Hash())
-	names := make([]string, 0, len(data.Characteristics))
-	for name := range data.Characteristics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(h, "%q:", name)
-		for _, v := range data.Characteristics[name] {
-			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // unitKey builds the result-store key of one experiment unit, attaching
@@ -423,20 +479,24 @@ func (fr *FamilyRun) methodResults(name string) ([]transpose.FoldResult, map[str
 // Table 2 and Figures 6-7: one unit per (method, family) cell, in
 // method-major, family-minor order.
 func (c *Config) familyCVUnits() ([]unitSpec[[]transpose.FoldResult], error) {
-	data, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
 	eng := c.eng()
 	methods := c.Methods()
-	families := data.Matrix.Families()
+	families := ds.layout.Families()
 	units := make([]unitSpec[[]transpose.FoldResult], 0, len(methods)*len(families))
 	for _, m := range methods {
 		for _, family := range families {
 			m, family := m, family
 			units = append(units, unitSpec[[]transpose.FoldResult]{
-				key: c.unitKey(fp, unitFamilyCV, m.Name, family),
+				key: c.unitKey(ds.fp, unitFamilyCV, m.Name, family),
 				compute: func() ([]transpose.FoldResult, error) {
+					data, err := ds.data()
+					if err != nil {
+						return nil, err
+					}
 					rs, err := transpose.FamilyFolds(eng, data.Matrix, data.Characteristics, family, m.New)
 					if err != nil {
 						return nil, fmt.Errorf("experiments: family CV with %s: %w", m.Name, err)
@@ -461,7 +521,7 @@ func RunFamilyCV(cfg Config) (*FamilyRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, _, err := cfg.dataset()
+	ds, err := cfg.dataset()
 	if err != nil {
 		return nil, err
 	}
@@ -471,11 +531,11 @@ func RunFamilyCV(cfg Config) (*FamilyRun, error) {
 	}
 	methods := cfg.Methods()
 	run := &FamilyRun{
-		Order:   append([]string(nil), data.Matrix.Benchmarks...),
+		Order:   append([]string(nil), ds.layout.Benchmarks...),
 		Results: make(map[string][]transpose.FoldResult, len(methods)),
 		perApp:  make(map[string]map[string]transpose.Metrics, len(methods)),
 	}
-	families := len(data.Matrix.Families())
+	families := len(ds.layout.Families())
 	for i, m := range methods {
 		mc := cells[i*families : (i+1)*families]
 		n := 0

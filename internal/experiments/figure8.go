@@ -28,12 +28,11 @@ type Figure8 struct {
 // PRNG seeded from (Seed, k, draw), so the series are identical for every
 // worker count and lease assignment.
 func (c *Config) figure8Units() ([]unitSpec[float64], error) {
-	data, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
-	keep2008 := func(y int) bool { return y == 2008 }
-	tgt, pool, err := data.Matrix.YearSplit(TargetYear, keep2008)
+	_, pool, err := ds.layout.YearSplit(TargetYear, keep2008)
 	if err != nil {
 		return nil, err
 	}
@@ -52,13 +51,17 @@ func (c *Config) figure8Units() ([]unitSpec[float64], error) {
 	for k := 1; k <= maxK; k++ {
 		k := k
 		units = append(units, unitSpec[float64]{
-			key: c.unitKey(fp, SpecFigure8, mlpt.Name, fmt.Sprintf("medoid/k=%d", k)),
+			key: c.unitKey(ds.fp, SpecFigure8, mlpt.Name, fmt.Sprintf("medoid/k=%d", k)),
 			compute: func() (float64, error) {
-				sub, err := transpose.MedoidSubset(k)(pool)
+				sp, err := ds.split2008()
 				if err != nil {
 					return 0, err
 				}
-				r2, err := transpose.GoodnessOfFit(eng, sub, tgt, data.Characteristics, mlpt.New)
+				sub, err := transpose.MedoidSubset(k)(sp.pool)
+				if err != nil {
+					return 0, err
+				}
+				r2, err := transpose.GoodnessOfFit(eng, sub, sp.tgt, sp.chars, mlpt.New)
 				if err != nil {
 					return 0, fmt.Errorf("experiments: Figure 8 medoid k=%d: %w", k, err)
 				}
@@ -68,14 +71,18 @@ func (c *Config) figure8Units() ([]unitSpec[float64], error) {
 		for d := 0; d < draws; d++ {
 			d := d
 			units = append(units, unitSpec[float64]{
-				key: c.unitKey(fp, SpecFigure8, mlpt.Name, fmt.Sprintf("random/k=%d#%d", k, d)),
+				key: c.unitKey(ds.fp, SpecFigure8, mlpt.Name, fmt.Sprintf("random/k=%d#%d", k, d)),
 				compute: func() (float64, error) {
-					rng := rand.New(rand.NewSource(engine.Seed(seed, int64(1000+k), int64(d))))
-					sub, err := transpose.RandomSubset(k, rng)(pool)
+					sp, err := ds.split2008()
 					if err != nil {
 						return 0, err
 					}
-					r2, err := transpose.GoodnessOfFit(eng, sub, tgt, data.Characteristics, mlpt.New)
+					rng := rand.New(rand.NewSource(engine.Seed(seed, int64(1000+k), int64(d))))
+					sub, err := transpose.RandomSubset(k, rng)(sp.pool)
+					if err != nil {
+						return 0, err
+					}
+					r2, err := transpose.GoodnessOfFit(eng, sub, sp.tgt, sp.chars, mlpt.New)
 					if err != nil {
 						return 0, fmt.Errorf("experiments: Figure 8 random k=%d draw %d: %w", k, d, err)
 					}

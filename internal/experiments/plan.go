@@ -52,9 +52,11 @@ type Plan struct {
 // produces the identical list — which is what lets independent worker
 // processes resolve a coordinator's unit keys (Fingerprint, UnitsByKey).
 //
-// Planning synthesises the dataset (unit keys embed its fingerprint);
-// the instance is memoised on the returned Plan's configuration, so a
-// following Execute does not regenerate it.
+// Planning synthesises nothing: unit keys name the synthesis recipe, and
+// enumeration reads only the dataset's layout (benchmark order, families,
+// years). The run's dataset is memoised on the returned Plan's
+// configuration, so a following Execute synthesises at most once, on the
+// first unit that misses the store, and not at all over a warm store.
 func PlanSpecs(cfg Config, ids ...string) (*Plan, error) {
 	resolved := make([]Spec, 0, len(ids))
 	for _, id := range ids {
@@ -68,7 +70,7 @@ func PlanSpecs(cfg Config, ids ...string) (*Plan, error) {
 	// compute closures capture them.
 	cfg.eng()
 	cfg.store()
-	if _, _, err := cfg.dataset(); err != nil {
+	if _, err := cfg.dataset(); err != nil {
 		return nil, err
 	}
 	seen := map[resultstore.Key]bool{}

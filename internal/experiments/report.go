@@ -18,8 +18,9 @@ type Report struct {
 	// Spec and Title identify the rendered spec.
 	Spec  string
 	Title string
-	// Snapshot is the dataset fingerprint every unit of this render is
-	// keyed under (the Key.Snapshot component).
+	// Snapshot is the fingerprint every unit of this render is keyed
+	// under (the Key.Snapshot component): the synthesis recipe's, or the
+	// injected data's when it is not the recipe's output.
 	Snapshot string
 	// Budget is the training-budget regime of the unit keys: "" for the
 	// full budget, "fast" under Config.Fast.
@@ -39,8 +40,9 @@ type Report struct {
 }
 
 // RunReport renders the named spec incrementally: PlanSpecs enumerates
-// its units, the Executor computes only the ones the store is missing,
-// and the spec then renders entirely from stored cells. The returned
+// its units, the Executor computes only the ones the store is missing
+// (synthesising the dataset once if any is), and the spec then renders
+// entirely from stored cells, so a warm report synthesises nothing. The returned
 // Text is byte-identical to RunSpecs (and `dtrank run -spec id`) with
 // the same configuration — cold, warm, or anywhere in between.
 func RunReport(cfg Config, id string) (*Report, error) {
@@ -62,14 +64,14 @@ func RunReport(cfg Config, id string) (*Report, error) {
 		return nil, err
 	}
 	after := st.Stats()
-	_, fp, err := plan.cfg.dataset()
+	ds, err := plan.cfg.dataset()
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
 		Spec:     s.ID,
 		Title:    s.Title,
-		Snapshot: fp,
+		Snapshot: ds.fp,
 		Seed:     cfg.Seed,
 		Text:     buf.String(),
 		Units:    len(plan.Units),

@@ -146,9 +146,9 @@ func BenchmarkRunReport(b *testing.B) {
 // BenchmarkRunSpecsWarm is the in-process half of the spec-batch
 // workload's warm run (`dtrank run -spec all -fast -draws 2 -maxk 3
 // -cache dir` over a filled store): every iteration opens the directory
-// store afresh, synthesises the dataset, reads each of the 92 stored
-// units back from disk once and renders every spec, computing nothing. The store is filled
-// once, untimed.
+// store afresh, builds the dataset's layout (it synthesises nothing),
+// reads each of the 92 stored units back from disk once and renders
+// every spec, computing nothing. The store is filled once, untimed.
 func BenchmarkRunSpecsWarm(b *testing.B) {
 	dir := b.TempDir()
 	render := func() (string, resultstore.Stats) {

@@ -13,6 +13,10 @@ import (
 // TargetYear is the release year of the paper's future-machine targets.
 const TargetYear = 2009
 
+// keep2008 selects the 2008 machines, the predictive pool of Table 4,
+// Figure 8 and the selection ablation.
+func keep2008(year int) bool { return year == 2008 }
+
 // Table3Splits lists the §6.3 predictive sets in the paper's column order.
 var Table3Splits = []string{"2008", "2007", "older"}
 
@@ -41,11 +45,11 @@ type Table3 struct {
 // table3Units enumerates Table 3's units: one per (method, split) cell,
 // method-major, split-minor.
 func (c *Config) table3Units() ([]unitSpec[Summary], error) {
-	data, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
-	order := data.Matrix.Benchmarks
+	order := ds.layout.Benchmarks
 	eng := c.eng()
 	methods := c.Methods()
 	units := make([]unitSpec[Summary], 0, len(methods)*len(Table3Splits))
@@ -53,9 +57,13 @@ func (c *Config) table3Units() ([]unitSpec[Summary], error) {
 		for _, split := range Table3Splits {
 			m, split := m, split
 			units = append(units, unitSpec[Summary]{
-				key: c.unitKey(fp, SpecTable3, m.Name, split),
+				key: c.unitKey(ds.fp, SpecTable3, m.Name, split),
 				compute: func() (Summary, error) {
 					keep, err := splitKeep(split)
+					if err != nil {
+						return Summary{}, err
+					}
+					data, err := ds.data()
 					if err != nil {
 						return Summary{}, err
 					}
@@ -153,12 +161,11 @@ func (c Config) table4Draws() int {
 // (Seed, size, draw), so draws fan out without sharing a sequential
 // random stream.
 func (c *Config) table4Units() ([]unitSpec[[]transpose.FoldResult], error) {
-	data, fp, err := c.dataset()
+	ds, err := c.dataset()
 	if err != nil {
 		return nil, err
 	}
 	draws := c.table4Draws()
-	keep2008 := func(y int) bool { return y == 2008 }
 	eng := c.eng()
 	seed := c.Seed
 	var units []unitSpec[[]transpose.FoldResult]
@@ -172,8 +179,12 @@ func (c *Config) table4Units() ([]unitSpec[[]transpose.FoldResult], error) {
 				m, size, d := m, size, d
 				label := fmt.Sprintf("2008/%d#%d", size, d)
 				units = append(units, unitSpec[[]transpose.FoldResult]{
-					key: c.unitKey(fp, SpecTable4, m.Name, label),
+					key: c.unitKey(ds.fp, SpecTable4, m.Name, label),
 					compute: func() ([]transpose.FoldResult, error) {
+						data, err := ds.data()
+						if err != nil {
+							return nil, err
+						}
 						rng := rand.New(rand.NewSource(engine.Seed(seed, int64(size), int64(d))))
 						rs, err := transpose.SubsetCV(eng, data.Matrix, data.Characteristics, TargetYear, keep2008,
 							transpose.RandomSubset(size, rng), label, m.New)
@@ -197,7 +208,7 @@ func RunTable4(cfg Config) (*Table4, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, _, err := cfg.dataset()
+	ds, err := cfg.dataset()
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +216,7 @@ func RunTable4(cfg Config) (*Table4, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := data.Matrix.Benchmarks
+	order := ds.layout.Benchmarks
 	draws := cfg.table4Draws()
 	out := &Table4{Methods: table4Methods, Sizes: Table4Sizes, Summary: map[string]map[int]Summary{}, Draws: draws}
 	i := 0

@@ -8,7 +8,7 @@ import "fmt"
 // forms give the same bits.
 
 // ReuseMatrix returns a rows×cols matrix backed by m's storage when m is
-// non-nil, owns its backing and has capacity for the new shape;
+// non-nil and has capacity for the new shape;
 // otherwise it allocates. Contents are unspecified — callers must
 // overwrite every element (or use an overwriting kernel such as MulInto).
 // It is the scratch-pooling hook for fit kernels that run millions of
@@ -19,16 +19,16 @@ func ReuseMatrix(m *Matrix, rows, cols int) *Matrix {
 		panic(fmt.Sprintf("la: ReuseMatrix(%d, %d): negative dimension", rows, cols))
 	}
 	n := rows * cols
-	if m == nil || m.stride != m.cols || cap(m.data) < n {
+	if m == nil || cap(m.data) < n {
 		return NewMatrix(rows, cols)
 	}
-	m.rows, m.cols, m.stride = rows, cols, cols
+	m.rows, m.cols = rows, cols
 	m.data = m.data[:n]
 	return m
 }
 
 // TInto writes the transpose of m into dst, which must be
-// m.Cols()×m.Rows() and must not alias m. T runs through it.
+// (m's columns)×(m's rows) and must not alias m. T runs through it.
 func (m *Matrix) TInto(dst *Matrix) error {
 	if dst.rows != m.cols || dst.cols != m.rows {
 		return fmt.Errorf("la: TInto destination %d×%d for %d×%d transpose: %w",
@@ -37,7 +37,7 @@ func (m *Matrix) TInto(dst *Matrix) error {
 	for i := 0; i < m.rows; i++ {
 		row := m.row(i)
 		for j, v := range row {
-			dst.data[j*dst.stride+i] = v
+			dst.data[j*dst.cols+i] = v
 		}
 	}
 	return nil
@@ -45,7 +45,7 @@ func (m *Matrix) TInto(dst *Matrix) error {
 
 // MulVecInto computes m·v into dst without allocating: each element
 // accumulates its row's terms in ascending order. dst must have length
-// m.Rows() and must not alias v. MulVec runs through it.
+// m's row count and must not alias v. MulVec runs through it.
 func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if m.cols != len(v) {
 		return fmt.Errorf("la: MulVecInto %d×%d by vector of length %d: %w", m.rows, m.cols, len(v), ErrShape)

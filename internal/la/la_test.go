@@ -9,8 +9,8 @@ import (
 
 func TestNewMatrixZeroed(t *testing.T) {
 	m := NewMatrix(3, 4)
-	if m.Rows() != 3 || m.Cols() != 4 {
-		t.Fatalf("got %d×%d, want 3×4", m.Rows(), m.Cols())
+	if m.rows != 3 || m.cols != 4 {
+		t.Fatalf("got %d×%d, want 3×4", m.rows, m.cols)
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
@@ -324,28 +324,17 @@ func identity(n int) *Matrix {
 // equalWithin reports whether a and b have the same shape and every
 // element within tol.
 func equalWithin(a, b *Matrix, tol float64) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+	if a.rows != b.rows || a.cols != b.cols {
 		return false
 	}
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < a.cols; j++ {
 			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// maxAbs returns the largest absolute element of m, 0 when m is empty.
-func maxAbs(m *Matrix) float64 {
-	max := 0.0
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			max = math.Max(max, math.Abs(m.At(i, j)))
-		}
-	}
-	return max
 }
 
 // norm returns the Euclidean norm of v.

@@ -3,9 +3,8 @@
 // and Householder-QR least squares.
 //
 // The package is deliberately small and dependency-free (stdlib only). All
-// matrices are dense, row-major float64, backed by a single flat slice
-// plus a stride, so contiguous rectangular windows of a matrix can be
-// exposed as zero-copy views (SubMatrixView, RowView). Operations that can
+// matrices are dense, row-major float64, each backed by one flat slice of
+// its own; RowView exposes a row without copying. Operations that can
 // fail (shape mismatches, singular systems) return errors rather than
 // panicking, except for index accessors, which panic on out-of-range
 // indices like built-in slices do.
@@ -14,7 +13,6 @@ package la
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // ErrShape is returned when operand dimensions are incompatible.
@@ -24,12 +22,10 @@ var ErrShape = errors.New("la: incompatible matrix shapes")
 var ErrSingular = errors.New("la: matrix is singular to working precision")
 
 // Matrix is a dense row-major matrix of float64 values. Row i occupies
-// data[i*stride : i*stride+cols]; stride == cols for matrices that own
-// their storage, stride > cols for views into a wider parent.
+// data[i*cols : (i+1)*cols].
 type Matrix struct {
 	rows, cols int
-	stride     int
-	data       []float64 // row-major backing; len >= (rows-1)*stride+cols
+	data       []float64 // row-major backing; len == rows*cols
 }
 
 // NewMatrix returns a zero-initialised rows×cols matrix.
@@ -38,31 +34,25 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("la: NewMatrix(%d, %d): negative dimension", rows, cols))
 	}
-	return &Matrix{rows: rows, cols: cols, stride: cols, data: make([]float64, rows*cols)}
+	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 {
 	m.check(i, j)
-	return m.data[i*m.stride+j]
+	return m.data[i*m.cols+j]
 }
 
 // Set assigns v to the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) {
 	m.check(i, j)
-	m.data[i*m.stride+j] = v
+	m.data[i*m.cols+j] = v
 }
 
 // Add adds v to the element at row i, column j.
 func (m *Matrix) Add(i, j int, v float64) {
 	m.check(i, j)
-	m.data[i*m.stride+j] += v
+	m.data[i*m.cols+j] += v
 }
 
 func (m *Matrix) check(i, j int) {
@@ -73,7 +63,7 @@ func (m *Matrix) check(i, j int) {
 
 // row returns the aliasing slice of row i without copying.
 func (m *Matrix) row(i int) []float64 {
-	return m.data[i*m.stride : i*m.stride+m.cols]
+	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
 // RowView returns row i as a slice aliasing the matrix storage: writes to
@@ -86,28 +76,10 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.row(i)
 }
 
-// SubMatrixView returns the r×c window with top-left corner (i0, j0) as a
-// zero-copy view: it shares the receiver's backing array with a stride, so
-// writes through either alias the other.
-func (m *Matrix) SubMatrixView(i0, j0, r, c int) *Matrix {
-	if i0 < 0 || j0 < 0 || r < 0 || c < 0 || i0+r > m.rows || j0+c > m.cols {
-		panic(fmt.Sprintf("la: SubMatrixView(%d, %d, %d, %d) out of range for %d×%d matrix",
-			i0, j0, r, c, m.rows, m.cols))
-	}
-	var data []float64
-	if r > 0 && c > 0 {
-		start := i0*m.stride + j0
-		data = m.data[start : start+(r-1)*m.stride+c]
-	}
-	return &Matrix{rows: r, cols: c, stride: m.stride, data: data}
-}
-
-// Clone returns a deep, contiguous copy of m (views are compacted).
+// Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		copy(out.row(i), m.row(i))
-	}
+	copy(out.data, m.data)
 	return out
 }
 
@@ -139,7 +111,7 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 
 // MulInto computes m·b into dst, reusing dst's storage instead of
 // allocating a result — the scratch-pooling hook of fits that multiply
-// per candidate. dst must be m.Rows()×b.Cols() and must not alias m or
+// per candidate. dst must be (m's rows)×(b's columns) and must not alias m or
 // b; previous contents are overwritten. Mul runs through it, so results
 // are bitwise identical.
 func (m *Matrix) MulInto(dst, b *Matrix) error {
@@ -166,13 +138,13 @@ func (m *Matrix) MulInto(dst, b *Matrix) error {
 			j1 := min(j0+mulBlock, b.cols)
 			for i := 0; i < m.rows; i++ {
 				mrow := m.row(i)
-				orow := dst.data[i*dst.stride+j0 : i*dst.stride+j1]
+				orow := dst.data[i*dst.cols+j0 : i*dst.cols+j1]
 				for k := k0; k < k1; k++ {
 					mv := mrow[k]
 					if mv == 0 {
 						continue
 					}
-					brow := b.data[k*b.stride+j0 : k*b.stride+j1]
+					brow := b.data[k*b.cols+j0 : k*b.cols+j1]
 					for j, bv := range brow {
 						orow[j] += mv * bv
 					}
@@ -191,23 +163,4 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	out := make([]float64, m.rows)
 	_ = m.MulVecInto(out, v)
 	return out, nil
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d×%d[", m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		if i > 0 {
-			sb.WriteString("; ")
-		}
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%.4g", m.At(i, j))
-		}
-	}
-	sb.WriteByte(']')
-	return sb.String()
 }

@@ -32,7 +32,7 @@ func SolveInto(x []float64, a *Matrix, b []float64, aug *Matrix) error {
 	if len(x) != n {
 		return fmt.Errorf("la: Solve solution length %d, want %d: %w", len(x), n, ErrShape)
 	}
-	if aug.rows != n || aug.cols != n+1 || aug.stride != n+1 {
+	if aug.rows != n || aug.cols != n+1 {
 		return fmt.Errorf("la: Solve scratch %d×%d, want %d×%d: %w", aug.rows, aug.cols, n, n+1, ErrShape)
 	}
 	// Work on the augmented scratch.
@@ -90,7 +90,7 @@ type QR struct {
 }
 
 // NewQR computes the Householder QR factorisation of a. a is not modified.
-// It requires a.Rows() >= a.Cols().
+// It requires a to have at least as many rows as columns.
 func NewQR(a *Matrix) (*QR, error) {
 	m, n := a.rows, a.cols
 	if m < n {

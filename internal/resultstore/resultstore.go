@@ -57,8 +57,10 @@ import (
 // Key addresses one experiment unit. Two runs share a result exactly when
 // every field matches.
 type Key struct {
-	// Snapshot fingerprints the input dataset (matrix and workload
-	// characteristics); any dataset change invalidates every unit.
+	// Snapshot names the input dataset: the synthesis recipe that fixes
+	// it, or for data not synthesised from a recipe its own fingerprint
+	// (matrix and workload characteristics). Any dataset change
+	// invalidates every unit.
 	Snapshot string `json:"snapshot"`
 	// Spec is the experiment spec id ("family-cv", "table3", ...).
 	Spec string `json:"spec"`

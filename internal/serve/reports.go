@@ -56,9 +56,12 @@ type ReportResponse struct {
 	Title string `json:"title"`
 	// Snapshot is the served snapshot's hash (the ETag's first half).
 	Snapshot string `json:"snapshot"`
-	// Dataset is the dataset fingerprint the report's units are keyed
-	// under in the result store (it also covers the workload
-	// characteristics, which the snapshot hash does not).
+	// Dataset is the fingerprint the report's units are keyed under in
+	// the result store: the synthesis recipe's (synth.Options
+	// Fingerprint) while the daemon serves the dataset it synthesised
+	// from its seed, the data's own (matrix plus workload
+	// characteristics, which the snapshot hash does not cover) after a
+	// POST /v1/snapshot or under -data.
 	Dataset string `json:"dataset"`
 	// Budget is the training-budget regime: "" full, "fast" reduced.
 	Budget string `json:"budget"`
@@ -86,8 +89,9 @@ func (s *Server) reportBudget() string {
 
 // reportConfig assembles the experiments configuration of one render:
 // the served snapshot injected as the dataset, the server's shared
-// report store, and the budget flags the daemon was started with. For a
-// synthesised snapshot this equals the CLI's own configuration for the
+// report store, and the budget flags the daemon was started with. While
+// the snapshot is the one synthesised from the seed, experiments keys
+// its units by the synthesis recipe, exactly as the CLI does for the
 // same flags, which is what makes the store shareable and the text
 // byte-identical.
 func (s *Server) reportConfig(snap *snapshot) experiments.Config {

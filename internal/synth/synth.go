@@ -103,8 +103,8 @@ type Data struct {
 
 // Generate builds the full synthetic database.
 func Generate(opts Options) (*Data, error) {
-	if opts.ScoreNoise < 0 || opts.CharNoise < 0 {
-		return nil, fmt.Errorf("synth: negative noise level (%v, %v)", opts.ScoreNoise, opts.CharNoise)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	roster, err := machine.Roster()
 	if err != nil {
@@ -121,28 +121,23 @@ func Generate(opts Options) (*Data, error) {
 // the experiments use Generate, but examples (e.g. design-space
 // exploration) synthesise scores for hypothetical machines.
 func GenerateFor(roster []machine.Config, table *mica.Table, opts Options) (*Data, error) {
-	if opts.ScoreNoise < 0 || opts.CharNoise < 0 {
-		return nil, fmt.Errorf("synth: negative noise level (%v, %v)", opts.ScoreNoise, opts.CharNoise)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	return generate(roster, table, opts)
 }
 
 func generate(roster []machine.Config, table *mica.Table, opts Options) (*Data, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	machines := make([]dataset.Machine, len(roster))
 	configs := make(map[string]machine.Config, len(roster))
-	for i, c := range roster {
-		machines[i] = dataset.Machine{
-			ID: c.ID, Vendor: c.Vendor, Family: c.Family,
-			Nickname: c.Nickname, ISA: c.ISA, Year: c.Year,
-		}
+	for _, c := range roster {
 		configs[c.ID] = c
 	}
-	names := table.Names()
-	mat, err := dataset.New(names, machines)
+	mat, err := layout(roster, table)
 	if err != nil {
 		return nil, err
 	}
+	names := mat.Benchmarks
 	ref := machine.Reference()
 	for b, name := range names {
 		w, err := table.Get(name)

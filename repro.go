@@ -109,7 +109,7 @@ type (
 	MethodInfo = method.Info
 	// ResultStore is the content-addressed experiment result store
 	// interface: every table cell, figure point and ablation variant is
-	// keyed by (snapshot fingerprint, spec id, method, split, seed),
+	// keyed by (recipe fingerprint, spec id, method, split, seed),
 	// CRC-checked at rest, and reruns recompute only missing or
 	// invalidated units. Backends: in-memory, directory, remote HTTP
 	// (OpenResultStore).
